@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-short test-race fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf ci
+.PHONY: build vet fmt-check test test-short test-race test-perfbench fuzz-short cover bench bench-ensemble bench-graph bench-mbf bench-semiring bench-oracle bench-apps bench-scale bench-gate bench-scale-gate scale-smoke profile-mbf ci
 
 build:
 	$(GO) build ./...
@@ -179,6 +179,12 @@ profile-mbf:
 		-cpuprofile /tmp/mbf.cpu.pprof -memprofile /tmp/mbf.mem.pprof
 	$(GO) tool pprof -top -nodecount 15 /tmp/mbf.cpu.pprof
 
+## The end-to-end benchmark (perfbench/) is its own module, invisible to the
+## root `go build ./...`; vet and test it so a change to the internal API it
+## builds against fails here rather than in the benchmark run.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## ci is the exact step list the GitHub Actions test matrix runs (the
 ## workflow invokes `make ci` so the two cannot drift).
-ci: vet fmt-check build test-short test-race
+ci: vet fmt-check build test-short test-race test-perfbench

@@ -1,8 +1,8 @@
 // Package routing implements oblivious routing over an FRT tree ensemble —
 // the third application scenario of the paper's §9–10 family. The scheme is
-// the classic tree-based one: route a demand (u, v) along the unique tree
-// path of an embedding tree, mapping every tree edge to a shortest
-// center-to-center path in G. Obliviousness is the point — the next-hop
+// the classic tree-based one: route a demand (u, v) through the center of
+// its lowest common cluster in an embedding tree, each leg a shortest path
+// in G. Obliviousness is the point — the next-hop
 // tables are computed once from the embedding, independent of the demand
 // set, and the FRT stretch bound makes every routed path an expected
 // O(log n)-approximation of the shortest path.
@@ -66,7 +66,7 @@ type RouteResult struct {
 	// the pair — the one with the smallest tree distance.
 	Tree int
 	// TreeDist is that tree's distance, an upper bound certificate:
-	// Length ≤ TreeDist always (the routed path shortcuts repeated centers).
+	// Length ≤ TreeDist always (see Route).
 	TreeDist float64
 }
 
@@ -117,8 +117,14 @@ func Build(g *graph.Graph, opts Options) (*Tables, error) {
 func (rt *Tables) NumTrees() int { return len(rt.trees) }
 
 // Route routes one demand obliviously: pick the tree with the smallest tree
-// distance, walk its tree path as a chain of cluster centers, and expand
-// every center hop into a shortest path in G via the shared next-hop tables.
+// distance and walk from u to the center c of the pair's least common
+// ancestor cluster, then on to v, each leg a shortest path in G via the
+// shared next-hop tables. Both endpoints lie in the LCA cluster at level L,
+// whose radius β2^L bounds each leg, so the walk is at most
+// 2β2^L ≤ 4β(2^L − 2^imin) = TreeDist for every L ≥ imin+1 — the
+// certificate Validate checks. Walking every center on the tree path
+// instead could pay r_i + r_{i+1} = 3β2^i per hop against a tree edge of
+// 2β2^i and break it.
 func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 	if int(u) < 0 || int(u) >= rt.g.N() || int(v) < 0 || int(v) >= rt.g.N() {
 		return nil, fmt.Errorf("routing: pair (%d, %d) out of range", u, v)
@@ -133,25 +139,17 @@ func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 		}
 	}
 	tidx := rt.trees[best]
-	// The tree path of (u, v) read as centers: up from u to the LCA, down to
-	// v. Consecutive duplicate centers (a cluster keeping its center one
-	// level up) collapse to nothing — the walk shortcuts them for free.
-	h := tidx.MergeHeight(u, v)
-	center := tidx.Tree().Center
-	chain := make([]graph.Node, 0, 2*h+1)
-	for i := 0; i <= h; i++ {
-		chain = appendCenter(chain, center[tidx.Ancestor(u, i)])
-	}
-	for i := h - 1; i >= 0; i-- {
-		chain = appendCenter(chain, center[tidx.Ancestor(v, i)])
-	}
+	c := tidx.Tree().Center[tidx.Ancestor(u, tidx.MergeHeight(u, v))]
 	path := []graph.Node{u}
 	length := 0.0
-	for i := 1; i < len(chain); i++ {
-		a, b := chain[i-1], chain[i]
+	for _, hop := range [2][2]graph.Node{{u, c}, {c, v}} {
+		a, b := hop[0], hop[1]
+		if a == b {
+			continue
+		}
 		seg := rt.segment(a, b)
 		if seg == nil {
-			return nil, fmt.Errorf("routing: centers %d, %d disconnected", a, b)
+			return nil, fmt.Errorf("routing: nodes %d, %d disconnected", a, b)
 		}
 		for j := 1; j < len(seg); j++ {
 			w, _ := rt.g.HasEdge(seg[j-1], seg[j])
@@ -162,10 +160,10 @@ func (rt *Tables) Route(u, v graph.Node) (*RouteResult, error) {
 	return &RouteResult{Path: path, Length: length, Tree: best, TreeDist: bestDist}, nil
 }
 
-// segment expands one center hop a→b into a shortest path of G. Every hop
-// has at least one endpoint in the target set (internal centers are targets;
-// only the chain's first and last centers can be plain leaves), so either a
-// forward walk towards b or a reversed walk from b towards a applies.
+// segment expands one leg a→b into a shortest path of G. Every leg has one
+// endpoint in the target set (the LCA center is an internal center), so
+// either a forward walk towards b or a reversed walk from b towards a
+// applies.
 func (rt *Tables) segment(a, b graph.Node) []graph.Node {
 	if rt.isTarget[b] {
 		return mbf.WalkRoute(rt.tables, a, b)
@@ -191,14 +189,6 @@ func (rt *Tables) RouteBatch(pairs []frt.Pair) ([]*RouteResult, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-// appendCenter appends c unless it repeats the chain's last center.
-func appendCenter(chain []graph.Node, c graph.Node) []graph.Node {
-	if n := len(chain); n > 0 && chain[n-1] == c {
-		return chain
-	}
-	return append(chain, c)
 }
 
 // Validate checks a routed result against g: endpoints match, every hop is a

@@ -31,6 +31,34 @@ func TestRouteValidOnRandomGraph(t *testing.T) {
 	}
 }
 
+// TestRouteCertificateHoldsOnEveryPair is the regression test of the
+// LCA-center route: on every pair of a small direct-LE-list ensemble (where
+// walking the full chain of cluster centers broke Length ≤ TreeDist on 8 of
+// the 2016 pairs), every route must pass Validate.
+func TestRouteCertificateHoldsOnEveryPair(t *testing.T) {
+	rng := par.NewRNG(1)
+	g := graph.RandomConnected(64, 256, 8, rng)
+	de, err := frt.NewDynamicEnsemble(g, 4, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := Build(g, Options{Ensemble: de.Ensemble()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			r, err := rt.Route(graph.Node(u), graph.Node(v))
+			if err != nil {
+				t.Fatalf("route (%d,%d): %v", u, v, err)
+			}
+			if err := Validate(g, graph.Node(u), graph.Node(v), r); err != nil {
+				t.Fatalf("route (%d,%d): %v", u, v, err)
+			}
+		}
+	}
+}
+
 func TestRouteSelfPair(t *testing.T) {
 	rng := par.NewRNG(3)
 	g := graph.PathGraph(8, 1)

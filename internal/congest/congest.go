@@ -88,8 +88,9 @@ func maxListLen(x []semiring.DistMap) int {
 // The simulation is frontier-driven: each step re-aggregates only the nodes
 // an LE-list change can reach, and the fixpoint is detected when the
 // frontier empties — no full-vector comparison. The loop holds one Stepper
-// for its whole run, so the runner's scratch pools and the state vector are
-// reused across rounds instead of re-copied per step. The round accounting
+// (a one-lane run of mbf's frontier driver) for its whole run, so the
+// frontier bookkeeping and the state vector are reused across rounds
+// instead of re-copied per step. The round accounting
 // is unchanged: the algorithm as analysed broadcasts every node's filtered
 // list each iteration, so every iteration still costs max_v |x_v| rounds;
 // sparsity only makes the simulation itself faster.
@@ -191,8 +192,8 @@ func Skeleton(g *graph.Graph, rng *par.RNG, opts SkeletonOptions) *Result {
 	rounds += sp.M() + diameter
 
 	// Locally (zero rounds): LE lists of the spanner overlay restricted to
-	// skeleton sources, x̄ = r^V A^{|S|}_{G'_S} x(0), via the sparse
-	// frontier engine. Every node seeds the frontier (each knows itself at
+	// skeleton sources, x̄ = r^V A^{|S|}_{G'_S} x(0), via mbf's frontier
+	// driver. Every node seeds the frontier (each knows itself at
 	// distance 0), but non-skeleton nodes are isolated in the spanner, so
 	// they fall out after the first step and the remaining iterations run
 	// on skeleton-sized frontiers.
@@ -201,8 +202,8 @@ func Skeleton(g *graph.Graph, rng *par.RNG, opts SkeletonOptions) *Result {
 
 	// Final phase: ℓ LE iterations on G with weights stretched by α,
 	// starting from x̄ (Equation 8.9 / 8.20). One Stepper carries the whole
-	// phase: each iteration is an in-place sparse step reusing the runner's
-	// scratch, and once the fixpoint lands further steps are no-ops — but the
+	// phase: each iteration is an in-place frontier step reusing the
+	// stepper's bookkeeping, and once the fixpoint lands further steps are no-ops — but the
 	// round meter still charges all ℓ broadcasts, as the analysed algorithm
 	// does not detect convergence.
 	runner := leRunner(g, order, alpha)

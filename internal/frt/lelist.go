@@ -125,18 +125,17 @@ func InitialStates(n int) []semiring.DistMap {
 // parallel form of the Khan et al. algorithm (§8.1). It takes O(SPD(G))
 // iterations and is the baseline that the oracle-based computation on H
 // beats when SPD(G) is large. The returned iteration count is the number of
-// sparse iterations performed, including the final one that confirms the
-// fixpoint (see mbf.Runner.RunToFixpoint).
+// frontier-driver iterations performed, including the final one that
+// confirms the fixpoint (see mbf.Runner.RunToFixpoint).
 func LEListsOnGraph(g *graph.Graph, order *Order, tracker *par.Tracker) ([]semiring.DistMap, int) {
 	lists, iters := LEListsOnGraphBatch(g, []*Order{order}, tracker)
 	return lists[0], iters[0]
 }
 
 // LEListsOnGraphBatch computes the LE lists of a graph under B independent
-// random orders — the B tree samples of an FRT ensemble — as one batched
-// multi-source sweep (mbf.Runner.RunToFixpointBatch): every iteration makes
-// a single pass over the CSR arcs serving all orders at once, sharing the
-// per-arc weights and merge scratch across lanes, with bit-packed per-node
+// random orders — the B tree samples of an FRT ensemble — as the lanes of
+// one frontier-driver run (mbf.Runner.RunToFixpointBatch): every iteration
+// makes a single frontier pass serving all orders at once, with bit-packed
 // lane masks tracking which orders can still change where. Lane b's lists
 // and iteration count equal LEListsOnGraph(g, orders[b], …) exactly (pinned
 // by the batch differential tests).

@@ -1,8 +1,8 @@
 // Live updates: incremental re-embedding of an FRT ensemble under edge
 // edits. The algebraic framework makes fixpoints repairable, not just
-// computable — the sparse engine (mbf.Runner.RunToFixpointFrom) re-converges
-// an old LE-list fixpoint from a seed frontier, so a small edit batch costs
-// O(affected cone), not a full rebuild.
+// computable — mbf's frontier driver (mbf.Runner.RunToFixpointFrom)
+// re-converges an old LE-list fixpoint from a seed frontier, so a small edit
+// batch costs O(affected cone), not a full rebuild.
 //
 // Two regimes, split by monotonicity:
 //

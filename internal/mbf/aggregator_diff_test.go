@@ -42,8 +42,8 @@ func runBoth[S, M any](t *testing.T, fast *Runner[S, M], x0 []M, h int) {
 	xf := append([]M(nil), x0...)
 	xs := append([]M(nil), x0...)
 	for i := range xf {
-		xf[i] = fast.filter(xf[i])
-		xs[i] = slow.filter(xs[i])
+		xf[i] = fast.lane().filter(xf[i])
+		xs[i] = slow.lane().filter(xs[i])
 	}
 	for it := 0; it < h; it++ {
 		xf = fast.Iterate(xf)

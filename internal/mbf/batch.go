@@ -1,31 +1,15 @@
 package mbf
 
-import (
-	"math/bits"
+import "parmbf/internal/semiring"
 
-	"parmbf/internal/graph"
-	"parmbf/internal/par"
-	"parmbf/internal/semiring"
-)
-
-// This file implements the batched multi-source sweep: B independent
-// MBF-like instances — same graph, same semimodule, per-lane filters —
-// advanced together, so one pass over the CSR arc array serves every lane
-// at once. The adjacency entries a_{vw} = Weight(v, w, ω) are computed once
-// per arc and reused across lanes, the node's arc span is walked while hot,
-// and modules implementing semiring.BatchAggregator merge all lanes over
-// one shared scratch.
-//
-// The sparse fixpoint driver generalises the frontier engine of mbf.go with
-// the BoolSet trick: instead of one frontier list, every node carries a
-// bit-packed lane set (⌈B/64⌉ words) marking the lanes whose state changed
-// at that node in the previous iteration. A node is re-aggregated for
-// exactly the lanes set in its own mask or in an out-neighbor's mask — the
-// per-lane change-propagation invariant of IterateDelta, tracked word-
-// parallel — and the whole batch reaches its fixpoint when every mask is
-// zero. Lane b's states evolve exactly as a solo RunToFixpoint would evolve
-// them (pinned by the batch differential tests), because the recomputed
-// lane set at a node always covers the solo engine's candidate set.
+// This file is the batched face of the frontier driver (frontier.go): B
+// independent MBF-like instances — same graph, same semimodule, per-lane
+// filters — advanced together, so one frontier pass serves every lane and a
+// node's arc span is walked while hot for all the lanes that can still
+// change there. Lane b's states and iteration count are exactly those of a
+// solo RunToFixpoint under lane b's filter (pinned by the batch differential
+// tests), because the lanes pushed onto a node always cover the solo
+// engine's candidate set.
 
 // BatchLane configures one lane of a batched sweep: its representative
 // projection and the optional in-place variant (same contract as
@@ -60,287 +44,29 @@ func (l BatchLane[M]) filterOwned(x M) M {
 	return x
 }
 
-// batchScratch is one worker's reusable state for a batched sweep: the
-// per-arc adjacency entries (computed once per node, shared by all lanes),
-// the per-lane term buffers, the compacted lane views handed to
-// AggregateBatch, and the module's merge scratch.
-type batchScratch[S, M any] struct {
-	ss    []S
-	terms [][]semiring.Term[S, M]
-	selfs []M
-	outs  []M
-	lanes []int32
-	sc    semiring.Scratch
-}
-
-func (r *Runner[S, M]) getBatchScratch() *batchScratch[S, M] {
-	st, _ := r.batchPool.Get().(*batchScratch[S, M])
-	if st == nil {
-		st = new(batchScratch[S, M])
-	}
-	return st
-}
-
-// putBatchScratch drops every state reference the scratch accumulated since
-// getBatchScratch and returns it to the pool. The sweeps call the pair once
-// per ForEachChunk range, so the clearing sweeps run to full capacity: nodes
-// of smaller degree leave stale references beyond the last node's lengths.
-func (r *Runner[S, M]) putBatchScratch(st *batchScratch[S, M]) {
-	var zeroS S
-	var zeroM M
-	ss := st.ss[:cap(st.ss)]
-	for i := range ss {
-		ss[i] = zeroS
-	}
-	for b := range st.terms {
-		terms := st.terms[b][:cap(st.terms[b])]
-		for i := range terms {
-			terms[i] = semiring.Term[S, M]{}
-		}
-		st.terms[b] = terms[:0]
-	}
-	selfs, outs := st.selfs[:cap(st.selfs)], st.outs[:cap(st.outs)]
-	for i := range selfs {
-		selfs[i] = zeroM
-	}
-	for i := range outs {
-		outs[i] = zeroM
-	}
-	st.ss, st.selfs, st.outs, st.lanes = ss[:0], selfs[:0], outs[:0], st.lanes[:0]
-	r.batchPool.Put(st)
-}
-
-// aggDispatch is the module's aggregation fast-path dispatch, resolved once
-// per sweep: generic interface assertions go through the runtime, far too
-// slow to repeat per node (Runner.recompute hoists the same way).
-type aggDispatch[S, M any] struct {
-	agg   semiring.Aggregator[S, M]
-	fa    semiring.FilteredAggregator[S, M]
-	batch semiring.BatchAggregator[S, M]
-	fast  bool
-}
-
-func (r *Runner[S, M]) dispatch() aggDispatch[S, M] {
-	var d aggDispatch[S, M]
-	d.agg, d.fast = r.Module.(semiring.Aggregator[S, M])
-	d.fa, _ = r.Module.(semiring.FilteredAggregator[S, M])
-	d.batch, _ = r.Module.(semiring.BatchAggregator[S, M])
-	return d
-}
-
-// recomputeLanes derives the next states of the lanes listed in st.lanes at
-// node v, reading the lane vectors xs. The arc span of v is walked once to
-// compute the shared adjacency entries; lanes then aggregate through the
-// module's AggregateBatch (one shared scratch) when available, per-lane
-// Aggregate otherwise, or the generic Add/SMul fold. Results land in
-// st.outs, filtered through each lane's projection; the returned work is
-// the Tracker charge (0 without a Tracker).
-func (r *Runner[S, M]) recomputeLanes(v graph.Node, xs [][]M, lanes []BatchLane[M], st *batchScratch[S, M], d aggDispatch[S, M]) int64 {
-	g := r.Graph
-	arcs := g.Neighbors(v)
-	ss := st.ss[:0]
-	for _, a := range arcs {
-		ss = append(ss, r.Weight(v, a.To, a.Weight))
-	}
-	st.ss = ss
-	var work int64
-	if d.fast {
-		for cap(st.terms) < len(st.lanes) {
-			st.terms = append(st.terms[:cap(st.terms)], nil)
-		}
-		st.terms = st.terms[:cap(st.terms)]
-		selfs := st.selfs[:0]
-		for j, b := range st.lanes {
-			terms := st.terms[j][:0]
-			x := xs[b]
-			for i, a := range arcs {
-				terms = append(terms, semiring.Term[S, M]{S: ss[i], X: x[a.To]})
-			}
-			st.terms[j] = terms
-			selfs = append(selfs, x[v])
-		}
-		st.selfs = selfs
-		outs := st.outs[:0]
-		for range st.lanes {
-			var zero M
-			outs = append(outs, zero)
-		}
-		st.outs = outs
-		switch {
-		case d.fa != nil:
-			// Fused merge-and-filter per lane over the shared scratch: the
-			// raw merges live in scratch and only filtered survivors are
-			// allocated (see Runner.recompute).
-			for j, b := range st.lanes {
-				st.outs[j] = d.fa.AggregateFiltered(&st.sc, st.selfs[j], st.terms[j], lanes[b].ownedFilter())
-			}
-		default:
-			if d.batch != nil {
-				d.batch.AggregateBatch(&st.sc, st.selfs, st.terms[:len(st.lanes)], st.outs)
-			} else {
-				for j := range st.lanes {
-					st.outs[j] = d.agg.Aggregate(&st.sc, st.selfs[j], st.terms[j])
-				}
-			}
-			for j, b := range st.lanes {
-				st.outs[j] = lanes[b].filterOwned(st.outs[j])
-			}
-		}
-		for j := range st.lanes {
-			if r.Tracker != nil {
-				work += int64(r.size(st.selfs[j]))
-				for _, t := range st.terms[j] {
-					work += int64(r.propagatedSize(t.S, t.X))
-				}
-				work += int64(r.size(st.outs[j]))
-			}
-		}
-		return work
-	}
-	// Generic fold (Definition 2.11), per lane over the shared entries.
-	outs := st.outs[:0]
-	for _, b := range st.lanes {
-		x := xs[b]
-		acc := x[v]
-		if r.Tracker != nil {
-			work += int64(r.size(acc))
-		}
-		for i, a := range arcs {
-			propagated := r.Module.SMul(ss[i], x[a.To])
-			acc = r.Module.Add(acc, propagated)
-			if r.Tracker != nil {
-				work += int64(r.size(propagated))
-			}
-		}
-		out := lanes[b].filter(acc)
-		if r.Tracker != nil {
-			work += int64(r.size(out))
-		}
-		outs = append(outs, out)
-	}
-	st.outs = outs
-	return work
-}
-
-// IterateBatch performs one dense batched iteration: every lane's state
-// vector advances by one MBF-like step, with all lanes of a node computed
-// in one visit (shared arc walk and adjacency entries). The inputs are not
-// modified. IterateBatch(xs, lanes)[b] equals a solo Iterate of lane b
-// under lane b's filter, node for node.
-func (r *Runner[S, M]) IterateBatch(xs [][]M, lanes []BatchLane[M]) [][]M {
-	n := r.Graph.N()
-	for _, x := range xs {
-		if len(x) != n {
-			panic("mbf: state vector length does not match graph size")
-		}
-	}
-	if len(lanes) != len(xs) {
-		panic("mbf: lane count does not match batch size")
-	}
-	out := make([][]M, len(xs))
-	for b := range out {
-		out[b] = make([]M, n)
-	}
-	var workPerNode []int64
-	if r.Tracker != nil {
-		workPerNode = make([]int64, n)
-	}
-	d := r.dispatch()
-	par.ForEachChunk(n, func(start, end int) {
-		st := r.getBatchScratch()
-		for vi := start; vi < end; vi++ {
-			st.lanes = st.lanes[:0]
-			for b := range xs {
-				st.lanes = append(st.lanes, int32(b))
-			}
-			work := r.recomputeLanes(graph.Node(vi), xs, lanes, st, d)
-			for j, b := range st.lanes {
-				out[b][vi] = st.outs[j]
-			}
-			if workPerNode != nil {
-				workPerNode[vi] = work
-			}
-		}
-		r.putBatchScratch(st)
-	})
-	r.chargePhase(workPerNode)
-	return out
-}
-
-// batchDelta is the pooled frontier bookkeeping of the sparse batched
-// fixpoint loop.
-type batchDelta[M any] struct {
-	touched []bool
-	cand    []graph.Node
-	need    []uint64 // per-candidate lane mask, w words each
-	stLanes [][]int32
-	stOut   [][]M
-	work    []int64
-}
-
 // RunToFixpointBatch iterates every lane to its fixpoint (or maxIter) with
-// the bit-packed sparse sweep: per node a ⌈B/64⌉-word lane mask marks the
-// lanes whose filtered state changed there in the previous iteration, and
-// an iteration re-aggregates, per affected node, exactly the lanes set in
-// its own or an out-neighbor's mask. It returns the final lane vectors and,
-// per lane, the number of sparse iterations that lane was live for —
-// including the final confirming one, exactly the count a solo
-// RunToFixpoint of that lane returns.
-//
-// Lanes whose filter does not map ⊥ to ⊥ (none in this library) disable
-// the sparse sweep: every lane then runs its solo RunToFixpoint, which
-// applies the dense fallback where needed.
+// the lane-masked frontier driver. It returns the final lane vectors (the
+// inputs are not modified) and, per lane, the number of iterations that
+// lane was live for — including the final confirming one, exactly the count
+// a solo RunToFixpoint of that lane returns.
 func (r *Runner[S, M]) RunToFixpointBatch(x0s [][]M, lanes []BatchLane[M], maxIter int) ([][]M, []int) {
-	B := len(x0s)
-	if len(lanes) != B {
-		panic("mbf: lane count does not match batch size")
+	xs := make([][]M, len(x0s))
+	for b, x0 := range x0s {
+		xs[b] = append([]M(nil), x0...)
 	}
-	zero := r.Module.Zero()
-	for _, l := range lanes {
-		if l.Filter != nil && !r.Module.Equal(l.Filter(zero), zero) {
-			return r.runToFixpointPerLane(x0s, lanes, maxIter)
-		}
-	}
-	n := r.Graph.N()
-	w := (B + 63) / 64
-	d := r.dispatch()
-	xs := make([][]M, B)
-	masks := make([]uint64, n*w)
-	live := make([]uint64, w)
-	for b := range x0s {
-		if len(x0s[b]) != n {
-			panic("mbf: state vector length does not match graph size")
-		}
-		x := make([]M, n)
-		lane := lanes[b]
-		for v, s := range x0s[b] {
-			x[v] = lane.filter(s)
-			if !r.Module.Equal(x[v], zero) {
-				masks[v*w+b/64] |= 1 << (b % 64)
-				live[b/64] |= 1 << (b % 64)
-			}
-		}
-		xs[b] = x
-	}
-	frontier := make([]graph.Node, 0, n)
-	for v := 0; v < n; v++ {
-		if !maskZero(masks[v*w : (v+1)*w]) {
-			frontier = append(frontier, graph.Node(v))
-		}
-	}
-	iters := make([]int, B)
+	s := r.newSweep(xs, lanes)
+	s.seedFresh()
+	iters := make([]int, len(lanes))
 	for b := range iters {
 		iters[b] = -1
 	}
-	ds := &batchDelta[M]{touched: make([]bool, n)}
-	g := r.Graph
 	for it := 0; ; it++ {
-		for b := 0; b < B; b++ {
-			if iters[b] < 0 && live[b/64]&(1<<(b%64)) == 0 {
+		for b := range iters {
+			if iters[b] < 0 && s.live[b/64]&(1<<(b%64)) == 0 {
 				iters[b] = it
 			}
 		}
-		if len(frontier) == 0 || it == maxIter {
+		if len(s.front) == 0 || it == maxIter {
 			for b := range iters {
 				if iters[b] < 0 {
 					iters[b] = maxIter
@@ -348,144 +74,6 @@ func (r *Runner[S, M]) RunToFixpointBatch(x0s [][]M, lanes []BatchLane[M], maxIt
 			}
 			return xs, iters
 		}
-		// Candidates: the frontier plus everyone reading a frontier node's
-		// state (in-neighbors; the graph itself when symmetric).
-		cand := ds.cand[:0]
-		for _, u := range frontier {
-			if !ds.touched[u] {
-				ds.touched[u] = true
-				cand = append(cand, u)
-			}
-			for _, a := range g.InNeighbors(u) {
-				if !ds.touched[a.To] {
-					ds.touched[a.To] = true
-					cand = append(cand, a.To)
-				}
-			}
-		}
-		ds.cand = cand
-		need := ds.need
-		if cap(need) < len(cand)*w {
-			need = make([]uint64, len(cand)*w)
-		}
-		need = need[:len(cand)*w]
-		ds.need = need
-		for len(ds.stLanes) < len(cand) {
-			ds.stLanes = append(ds.stLanes, nil)
-			ds.stOut = append(ds.stOut, nil)
-		}
-		var workPerNode []int64
-		if r.Tracker != nil {
-			workPerNode = ds.work[:0]
-			for range cand {
-				workPerNode = append(workPerNode, 0)
-			}
-			ds.work = workPerNode
-		}
-		par.ForEachChunk(len(cand), func(start, end int) {
-			var st *batchScratch[S, M]
-			for i := start; i < end; i++ {
-				v := cand[i]
-				nm := need[i*w : (i+1)*w]
-				copy(nm, masks[int(v)*w:(int(v)+1)*w])
-				for _, a := range g.Neighbors(v) {
-					m := masks[int(a.To)*w : (int(a.To)+1)*w]
-					for j := range nm {
-						nm[j] |= m[j]
-					}
-				}
-				if maskZero(nm) {
-					ds.stLanes[i] = ds.stLanes[i][:0]
-					continue
-				}
-				if st == nil {
-					st = r.getBatchScratch()
-				}
-				st.lanes = st.lanes[:0]
-				for j, word := range nm {
-					for word != 0 {
-						b := j*64 + bits.TrailingZeros64(word)
-						word &= word - 1
-						st.lanes = append(st.lanes, int32(b))
-					}
-				}
-				work := r.recomputeLanes(v, xs, lanes, st, d)
-				if workPerNode != nil {
-					workPerNode[i] = work
-				}
-				stLanes := ds.stLanes[i][:0]
-				stOut := ds.stOut[i][:0]
-				for j, b := range st.lanes {
-					if !r.Module.Equal(st.outs[j], xs[b][v]) {
-						stLanes = append(stLanes, b)
-						stOut = append(stOut, st.outs[j])
-					}
-				}
-				ds.stLanes[i], ds.stOut[i] = stLanes, stOut
-			}
-			if st != nil {
-				r.putBatchScratch(st)
-			}
-		})
-		r.chargePhase(workPerNode)
-		// Write-back after the parallel read phase: clear the old frontier
-		// masks, then apply the staged per-lane changes, which become the
-		// next frontier.
-		for _, v := range frontier {
-			m := masks[int(v)*w : (int(v)+1)*w]
-			for j := range m {
-				m[j] = 0
-			}
-		}
-		for j := range live {
-			live[j] = 0
-		}
-		frontier = frontier[:0]
-		var zeroM M
-		for i, v := range cand {
-			ds.touched[v] = false
-			if len(ds.stLanes[i]) == 0 {
-				continue
-			}
-			m := masks[int(v)*w : (int(v)+1)*w]
-			for j, b := range ds.stLanes[i] {
-				xs[b][v] = ds.stOut[i][j]
-				m[b/64] |= 1 << (b % 64)
-				live[b/64] |= 1 << (b % 64)
-				ds.stOut[i][j] = zeroM // drop the reference before reuse
-			}
-			frontier = append(frontier, v)
-		}
+		s.step()
 	}
-}
-
-// runToFixpointPerLane is the batch fallback when a lane's filter does not
-// preserve ⊥: every lane runs solo (with its own dense fallback), on a
-// fresh runner sharing the batch runner's configuration.
-func (r *Runner[S, M]) runToFixpointPerLane(x0s [][]M, lanes []BatchLane[M], maxIter int) ([][]M, []int) {
-	out := make([][]M, len(x0s))
-	iters := make([]int, len(x0s))
-	for b := range x0s {
-		solo := &Runner[S, M]{
-			Graph:          r.Graph,
-			Module:         r.Module,
-			Filter:         lanes[b].Filter,
-			FilterInPlace:  lanes[b].FilterInPlace,
-			Weight:         r.Weight,
-			Size:           r.Size,
-			PropagatedSize: r.PropagatedSize,
-			Tracker:        r.Tracker,
-		}
-		out[b], iters[b] = solo.RunToFixpoint(x0s[b], maxIter)
-	}
-	return out, iters
-}
-
-func maskZero(m []uint64) bool {
-	for _, w := range m {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }

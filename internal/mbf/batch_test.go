@@ -1,13 +1,13 @@
 package mbf
 
-// Differential property tests of the batched multi-source sweep: on random
-// graphs, IterateBatch and RunToFixpointBatch must produce, lane for lane,
-// exactly the states (per Module.Equal) and iteration counts of a solo
-// Runner configured with that lane's filter — across parallel widths, for
-// heterogeneous per-lane filters, for the B=1 degenerate batch, and for the
-// per-lane fallback taken when a filter does not preserve ⊥. Runs in the
-// short and -race tiers: the batch path shares pooled scratch between
-// workers and stages its write-backs.
+// Differential property tests of the batched frontier driver: on random
+// graphs, RunToFixpointBatch must produce, lane for lane, exactly the states
+// (per Module.Equal) and iteration counts of a solo Runner configured with
+// that lane's filter — across parallel widths, for heterogeneous per-lane
+// filters, for the B=1 degenerate batch, and for a lane whose filter does
+// not preserve ⊥ (checked against the dense reference). Runs in the short
+// and -race tiers: the driver shares pooled scratch between workers and
+// stages its write-backs.
 
 import (
 	"testing"
@@ -64,7 +64,10 @@ func batchRunner(g *graph.Graph) *Runner[float64, semiring.DistMap] {
 	}
 }
 
-func TestIterateBatchMatchesPerLaneIterate(t *testing.T) {
+// TestBatchStepMatchesPerLaneIterate pins one batched step: from mid-run
+// states, a batch capped at one iteration must equal, lane for lane, one
+// dense solo Iterate under that lane's filter.
+func TestBatchStepMatchesPerLaneIterate(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	for _, seed := range []uint64{1, 2, 3} {
 		g := randomGraph(seed, 40, 120)
@@ -79,7 +82,7 @@ func TestIterateBatchMatchesPerLaneIterate(t *testing.T) {
 		for _, procs := range maxProcsVariants() {
 			par.MaxProcs = procs
 			r := batchRunner(g)
-			got := r.IterateBatch(xs, lanes)
+			got, _ := r.RunToFixpointBatch(xs, lanes, 1)
 			for b := range xs {
 				want := solos[b].Iterate(xs[b])
 				for v := range want {
@@ -166,10 +169,12 @@ func TestRunToFixpointBatchSingleLane(t *testing.T) {
 	}
 }
 
-// TestRunToFixpointBatchZeroUnstableLane pins the per-lane fallback: one
-// lane whose filter resurrects ⊥ states disables the sparse sweep, and the
-// whole batch must still match solo runs lane for lane.
+// TestRunToFixpointBatchZeroUnstableLane pins the all-node seed inside a
+// batch: one lane whose filter resurrects ⊥ states, among normal lanes, must
+// leave every lane equal to the dense reference loop, states and iteration
+// counts both.
 func TestRunToFixpointBatchZeroUnstableLane(t *testing.T) {
+	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	g := randomGraph(7, 24, 60)
 	resurrect := func(x semiring.DistMap) semiring.DistMap {
 		if x.Len() == 0 {
@@ -180,28 +185,38 @@ func TestRunToFixpointBatchZeroUnstableLane(t *testing.T) {
 	lanes := []BatchLane[semiring.DistMap]{
 		{Filter: semiring.TopKFilter(2, semiring.Inf, nil), FilterInPlace: semiring.TopKFilterInPlace(2, semiring.Inf, nil)},
 		{Filter: resurrect},
+		{Filter: semiring.TopKFilter(3, 6, nil)},
+		{},
 	}
 	x0 := make([]semiring.DistMap, g.N())
 	for v := range x0 {
-		x0[v] = semiring.SingletonDist(graph.Node(v), 0)
+		if v%3 == 0 {
+			x0[v] = semiring.SingletonDist(graph.Node(v), 0)
+		}
 	}
-	xs := [][]semiring.DistMap{x0, append([]semiring.DistMap(nil), x0...)}
-	r := batchRunner(g)
-	got, gotIters := r.RunToFixpointBatch(xs, lanes, 8)
-	for b := range lanes {
-		solo := &Runner[float64, semiring.DistMap]{
-			Graph:  g,
-			Module: semiring.DistMapModule{},
-			Filter: lanes[b].Filter, FilterInPlace: lanes[b].FilterInPlace,
-			Weight: MinPlusWeight,
-		}
-		want, wantIters := solo.RunToFixpoint(xs[b], 8)
-		if gotIters[b] != wantIters {
-			t.Fatalf("lane=%d: batch ran %d iterations, solo %d", b, gotIters[b], wantIters)
-		}
-		for v := range want {
-			if !r.Module.Equal(got[b][v], want[v]) {
-				t.Fatalf("lane=%d node=%d: batch %v ≠ solo %v", b, v, got[b][v], want[v])
+	xs := make([][]semiring.DistMap, len(lanes))
+	for b := range xs {
+		xs[b] = append([]semiring.DistMap(nil), x0...)
+	}
+	for _, procs := range maxProcsVariants() {
+		par.MaxProcs = procs
+		r := batchRunner(g)
+		got, gotIters := r.RunToFixpointBatch(xs, lanes, g.N())
+		for b := range lanes {
+			solo := &Runner[float64, semiring.DistMap]{
+				Graph:  g,
+				Module: semiring.DistMapModule{},
+				Filter: lanes[b].Filter, FilterInPlace: lanes[b].FilterInPlace,
+				Weight: MinPlusWeight,
+			}
+			want, wantIters := solo.RunToFixpointDense(xs[b], g.N())
+			if gotIters[b] != wantIters {
+				t.Fatalf("procs=%d lane=%d: batch ran %d iterations, dense %d", procs, b, gotIters[b], wantIters)
+			}
+			for v := range want {
+				if !r.Module.Equal(got[b][v], want[v]) {
+					t.Fatalf("procs=%d lane=%d node=%d: batch %v ≠ dense %v", procs, b, v, got[b][v], want[v])
+				}
 			}
 		}
 	}

@@ -101,28 +101,30 @@ func BenchmarkFixpointDense4096(b *testing.B) {
 }
 
 // BenchmarkIterateSparse4096 measures one sparse step in the middle of a
-// fixpoint run: the states are advanced 64 steps into the ~130-step grid
-// wavefront, then one IterateDelta over that mid-run frontier (a wave of a
-// few hundred nodes) is timed — the steady-state cost the sparse engine
-// pays where the dense engine would re-aggregate all n nodes. The timed
-// call goes through the pure public API, so it includes the n-length
-// header copy that RunToFixpoint's in-place internal steps avoid.
+// fixpoint run: a Stepper is advanced 64 steps into the ~130-step grid
+// wavefront, then one Step from that mid-run frontier (a wave of a few
+// hundred nodes) is timed — the steady-state cost the frontier driver pays
+// where the dense engine would re-aggregate all n nodes. Every timed step
+// first restores the mid-run vector and frontier, so it includes one
+// n-length state copy.
 func BenchmarkIterateSparse4096(b *testing.B) {
-	r, x := fixpointBenchRunner()
-	for v := range x {
-		x[v] = r.filter(x[v])
-	}
-	frontier := r.Frontier(x)
+	r, x0 := fixpointBenchRunner()
+	st := r.NewStepper(x0)
 	for i := 0; i < 64; i++ {
-		x, frontier = r.IterateDelta(x, frontier)
-		if len(frontier) == 0 {
+		if !st.Step() {
 			b.Fatal("fixpoint reached before the mid-run step")
 		}
 	}
+	x := append([]semiring.DistMap(nil), st.States()...)
+	front := append([]graph.Node(nil), st.s.front...)
+	masks := append([]uint64(nil), st.s.masks...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.IterateDelta(x, frontier)
+		copy(st.x, x)
+		st.s.front = append(st.s.front[:0], front...)
+		st.s.masks = append(st.s.masks[:0], masks...)
+		st.Step()
 	}
 }
 

@@ -16,33 +16,40 @@
 // filter after every iteration without changing the output; this is what
 // keeps intermediate states small and the work near-linear.
 //
-// # Frontier-driven sparse fixpoint engine
+// # One frontier driver
 //
-// Fixpoint loops (r^V A x iterated until the states stop changing, which
-// happens after at most SPD(G) hops for the distance algebras) spend their
-// late iterations re-deriving states that are already stable: x'(v) depends
-// only on x at v and at v's neighbors, so if none of those states changed in
-// the previous iteration, recomputing v reproduces x(v) exactly. The sparse
-// engine exploits this with change propagation:
+// Every fixpoint entry point — RunToFixpoint, RunToFixpointBatch,
+// RunToFixpointFrom and Stepper — is a thin wrapper over one sparse driver
+// (frontier.go). Fixpoint loops (r^V A x iterated until the states stop
+// changing, which happens after at most SPD(G) hops for the distance
+// algebras) spend their late iterations re-deriving states that are already
+// stable: x'(v) depends only on x at v and at v's neighbors, so if none of
+// those states changed in the previous iteration, recomputing v reproduces
+// x(v) exactly. The driver exploits this with change propagation over B
+// lanes — independent instances sharing the graph and semimodule, each with
+// its own filter (B = 1 is the common case):
 //
 //   - the frontier after an iteration is the set of nodes whose filtered
-//     state changed in that iteration;
-//   - the next iteration re-aggregates only the affected nodes — every
-//     frontier node (its own state feeds its next state through the
-//     diagonal) plus every node with a frontier node among its in-neighbors
-//     (graph.Graph.InNeighbors, the transpose view, which is the graph
-//     itself for the symmetric graphs this library builds);
-//   - all other nodes keep their state, which IterateDelta never touches.
+//     state changed in some lane, each with a bit mask of those lanes;
+//   - the next iteration pushes every frontier node's mask onto the node
+//     itself (its own state feeds its next state through the diagonal) and
+//     onto its in-neighbors (graph.Graph.InNeighbors, the transpose view,
+//     which is the graph itself for the symmetric graphs this library
+//     builds), and re-aggregates each touched node for exactly the lanes
+//     pushed onto it;
+//   - all other (node, lane) states are left untouched.
 //
-// The initial frontier is the set of nodes whose filtered x(0) is non-⊥: a
-// node that is ⊥ with an all-⊥ in-neighborhood stays ⊥, because the
-// semimodule is zero-preserving and the filter is a representative
-// projection with r(⊥) = ⊥ (RunToFixpoint verifies r(⊥) = ⊥ at runtime and
-// falls back to the dense loop otherwise). The fixpoint is reached exactly
-// when the frontier empties — no separate state-vector comparison pass is
-// needed — and the states produced are identical, per Module.Equal at every
-// node after every iteration, to those of the dense engine
-// (RunToFixpointDense, kept as the differential-test reference).
+// A fresh run seeds lane b's frontier with the nodes whose filtered x(0) is
+// non-⊥: a node that is ⊥ with an all-⊥ in-neighborhood stays ⊥, because
+// the semimodule is zero-preserving and a representative projection maps ⊥
+// to ⊥. A lane whose filter does not (no filter in this library) is seeded
+// with every node instead; once every node has been recomputed once, change
+// propagation is exact for any filter. A lane reaches its fixpoint exactly
+// when its frontier empties — no state-vector comparison pass is needed —
+// and its states equal, per Module.Equal at every node after every
+// iteration, those of the dense loop that re-aggregates every node (kept in
+// the tests as the differential reference). Iterate and Run remain as the
+// fixed-h dense path.
 package mbf
 
 import (
@@ -91,22 +98,14 @@ type Runner[S, M any] struct {
 	// Weight can return the zero and exact work accounting matters.
 	PropagatedSize func(s S, x M) int
 	// Tracker, if non-nil, is charged the work/depth of every iteration in
-	// the DAG cost model of §1.2. Sparse iterations (IterateDelta) charge
-	// only the nodes they actually re-aggregate — the work performed, not
-	// the work a dense iteration would have performed.
+	// the DAG cost model of §1.2. Sparse iterations charge only the nodes
+	// they actually re-aggregate — the work performed, not the work a dense
+	// iteration would have performed.
 	Tracker *par.Tracker
 
 	// scratch recycles per-worker buffers of the aggregation fast path, so
 	// steady-state iterations allocate only the output states.
 	scratch sync.Pool // *iterScratch[S, M]
-	// deltaPool recycles the frontier bookkeeping of the sparse engine
-	// across IterateDelta calls, so external fixpoint drivers (e.g. the
-	// Congest simulation, which needs per-step round accounting) iterate
-	// as cheaply as RunToFixpoint's internal loop.
-	deltaPool sync.Pool // *deltaScratch
-	// batchPool recycles the per-worker buffers of the batched multi-source
-	// sweep (batch.go).
-	batchPool sync.Pool // *batchScratch[S, M]
 }
 
 // iterScratch is one worker's reusable aggregation state: the term buffer
@@ -114,6 +113,27 @@ type Runner[S, M any] struct {
 type iterScratch[S, M any] struct {
 	terms []semiring.Term[S, M]
 	sc    semiring.Scratch
+}
+
+// kernel is the module's aggregation dispatch, resolved once per sweep:
+// generic interface assertions go through the runtime, far too slow to
+// repeat per node.
+type kernel[S, M any] struct {
+	agg  semiring.Aggregator[S, M]
+	fa   semiring.FilteredAggregator[S, M]
+	fast bool
+}
+
+func (r *Runner[S, M]) kernel() kernel[S, M] {
+	var k kernel[S, M]
+	k.agg, k.fast = r.Module.(semiring.Aggregator[S, M])
+	k.fa, _ = r.Module.(semiring.FilteredAggregator[S, M])
+	return k
+}
+
+// lane is the runner's own filter pair, the single lane of a solo run.
+func (r *Runner[S, M]) lane() BatchLane[M] {
+	return BatchLane[M]{Filter: r.Filter, FilterInPlace: r.FilterInPlace}
 }
 
 func (r *Runner[S, M]) size(x M) int {
@@ -128,31 +148,6 @@ func (r *Runner[S, M]) propagatedSize(s S, x M) int {
 		return r.PropagatedSize(s, x)
 	}
 	return r.size(x)
-}
-
-func (r *Runner[S, M]) filter(x M) M {
-	if r.Filter == nil {
-		return x
-	}
-	return r.Filter(x)
-}
-
-// ownedFilter returns the filter the engine applies to values it owns
-// exclusively: the in-place variant when the caller provided one, the pure
-// one otherwise (nil when unfiltered).
-func (r *Runner[S, M]) ownedFilter() semiring.Filter[M] {
-	if r.FilterInPlace != nil {
-		return r.FilterInPlace
-	}
-	return r.Filter
-}
-
-// filterOwned filters a value the engine owns exclusively.
-func (r *Runner[S, M]) filterOwned(x M) M {
-	if f := r.ownedFilter(); f != nil {
-		return f(x)
-	}
-	return x
 }
 
 // getIter pops a pooled per-worker aggregation scratch; putIter drops the
@@ -178,31 +173,32 @@ func (r *Runner[S, M]) putIter(st *iterScratch[S, M]) {
 	r.scratch.Put(st)
 }
 
-// recompute derives one node's next state x'(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ x(w))
-// — through the k-way aggregation fast path when the module provides one,
-// through the generic Add/SMul fold otherwise — and returns it together with
-// the work to charge for the node (0 when no Tracker is attached). Both
+// recompute is the one per-node kernel of every engine loop: it derives
+// node v's next state x'(v) = r(x(v) ⊕ ⊕_w a_vw ⊙ x(w)) under lane l's
+// filter — through the k-way aggregation fast path when the module provides
+// one, through the generic Add/SMul fold otherwise — and returns it together
+// with the work to charge for the node (0 when no Tracker is attached). Both
 // paths charge identically: the node's own state, every propagated state,
 // and the filtered output. st carries the worker's pooled term buffer and
 // merge scratch; the fast path leaves its state references in st.terms for
 // putIter to drop once per chunk.
-func (r *Runner[S, M]) recompute(vi int, x []M, st *iterScratch[S, M], agg semiring.Aggregator[S, M], fa semiring.FilteredAggregator[S, M], fast bool) (M, int64) {
+func (r *Runner[S, M]) recompute(vi int, x []M, l *BatchLane[M], st *iterScratch[S, M], k *kernel[S, M]) (M, int64) {
 	g := r.Graph
 	v := graph.Node(vi)
 	var work int64
-	if fast {
+	if k.fast {
 		terms := st.terms[:0]
 		for _, a := range g.Neighbors(v) {
 			terms = append(terms, semiring.Term[S, M]{S: r.Weight(v, a.To, a.Weight), X: x[a.To]})
 		}
 		var out M
-		if fa != nil {
+		if k.fa != nil {
 			// Fused merge-and-filter: the raw merge lives in scratch and only
 			// the filtered survivors are allocated (right-sized states keep
 			// the vector cache-dense for the next iteration).
-			out = fa.AggregateFiltered(&st.sc, x[vi], terms, r.ownedFilter())
+			out = k.fa.AggregateFiltered(&st.sc, x[vi], terms, l.ownedFilter())
 		} else {
-			out = r.filterOwned(agg.Aggregate(&st.sc, x[vi], terms))
+			out = l.filterOwned(k.agg.Aggregate(&st.sc, x[vi], terms))
 		}
 		if r.Tracker != nil {
 			work = int64(r.size(x[vi]))
@@ -228,26 +224,20 @@ func (r *Runner[S, M]) recompute(vi int, x []M, st *iterScratch[S, M], agg semir
 			work += int64(r.size(propagated))
 		}
 	}
-	out := r.filter(acc)
+	out := l.filter(acc)
 	if r.Tracker != nil {
 		work += int64(r.size(out))
 	}
 	return out, work
 }
 
-// chargePhase sums the per-node work of one (possibly sparse) iteration and
-// charges it to the Tracker as a parallel phase. Aggregation of k items
-// costs O(log k) depth (Lemma 2.3); we charge one depth unit per iteration
-// since sizes are polylogarithmic after filtering.
-func (r *Runner[S, M]) chargePhase(workPerNode []int64) {
-	if r.Tracker == nil {
-		return
+// charge books one (possibly sparse) iteration as a parallel phase.
+// Aggregation of k items costs O(log k) depth (Lemma 2.3); we charge one
+// depth unit per iteration since sizes are polylogarithmic after filtering.
+func (r *Runner[S, M]) charge(work *atomic.Int64) {
+	if r.Tracker != nil {
+		r.Tracker.AddPhase(work.Load(), 1)
 	}
-	var total int64
-	for _, w := range workPerNode {
-		total += w
-	}
-	r.Tracker.AddPhase(total, 1)
 }
 
 // Iterate performs one MBF-like iteration x ↦ r^V(Ax), parallelised over
@@ -268,185 +258,24 @@ func (r *Runner[S, M]) Iterate(x []M) []M {
 }
 
 // iterateInto is Iterate writing into a caller-provided output vector, which
-// it fully overwrites and returns. RunToFixpointDense ping-pongs two vectors
-// through it so a fixpoint run allocates two state-header vectors total
-// instead of one per iteration.
+// it fully overwrites and returns, so a dense loop can ping-pong two vectors
+// instead of allocating one per iteration.
 func (r *Runner[S, M]) iterateInto(x, out []M) []M {
-	n := r.Graph.N()
-	var workPerNode []int64
-	if r.Tracker != nil {
-		workPerNode = make([]int64, n)
-	}
-	agg, fast := r.Module.(semiring.Aggregator[S, M])
-	// The fused-path assertion is hoisted out of the per-node loop: generic
-	// interface assertions go through the runtime, too slow per node.
-	fa, _ := r.Module.(semiring.FilteredAggregator[S, M])
-	par.ForEachChunk(n, func(start, end int) {
+	l, k := r.lane(), r.kernel()
+	var work atomic.Int64
+	par.ForEachChunk(len(x), func(start, end int) {
 		st := r.getIter()
+		var sum int64
 		for vi := start; vi < end; vi++ {
-			s, work := r.recompute(vi, x, st, agg, fa, fast)
+			s, w := r.recompute(vi, x, &l, st, &k)
 			out[vi] = s
-			if workPerNode != nil {
-				workPerNode[vi] = work
-			}
+			sum += w
 		}
 		r.putIter(st)
+		work.Add(sum)
 	})
-	r.chargePhase(workPerNode)
+	r.charge(&work)
 	return out
-}
-
-// deltaScratch holds the reusable frontier bookkeeping of the sparse engine:
-// the candidate mark bits, the candidate list, the per-candidate change
-// flags, and the per-candidate recomputed states (buffered so the write-back
-// can happen after the parallel read phase, letting the driver update its
-// vector in place). One instance serves a whole RunToFixpoint loop.
-type deltaScratch[M any] struct {
-	touched []bool
-	cand    []graph.Node
-	changed []bool
-	states  []M
-	work    []int64
-}
-
-// getDelta pops a pooled deltaScratch sized for the runner's graph (the
-// mark array must have one bit per node), allocating on first use. Callers
-// return it with putDelta; iterateDelta leaves every mark cleared and every
-// buffered state reference dropped, so a pooled scratch is always ready.
-func (r *Runner[S, M]) getDelta(n int) *deltaScratch[M] {
-	ds, _ := r.deltaPool.Get().(*deltaScratch[M])
-	if ds == nil || len(ds.touched) != n {
-		ds = &deltaScratch[M]{touched: make([]bool, n)}
-	}
-	return ds
-}
-
-func (r *Runner[S, M]) putDelta(ds *deltaScratch[M]) { r.deltaPool.Put(ds) }
-
-// IterateDelta performs one sparse MBF-like iteration: given that frontier
-// lists every node whose state changed in the previous iteration (for the
-// first iteration: every node with a non-⊥ filtered state, see Frontier),
-// it re-aggregates only the affected nodes — frontier nodes and nodes with
-// a frontier node among their in-neighbors — and returns the next state
-// vector together with the next frontier, in ascending discovery order.
-// Unaffected nodes keep their state value (the returned vector aliases
-// them; states are shared immutable values). The input vector is not
-// modified — the purity costs one n-length header copy, which
-// RunToFixpoint's internal loop avoids by updating its own vector in
-// place, so a sparse step there is O(affected), not Ω(n).
-//
-// IterateDelta(x, frontier) equals Iterate(x) node-for-node whenever the
-// frontier invariant holds, and the returned frontier is exactly the set of
-// nodes at which the two vectors differ. Duplicate frontier entries are
-// tolerated.
-func (r *Runner[S, M]) IterateDelta(x []M, frontier []graph.Node) ([]M, []graph.Node) {
-	if len(x) != r.Graph.N() {
-		panic("mbf: state vector length does not match graph size")
-	}
-	out := make([]M, len(x))
-	copy(out, x)
-	ds := r.getDelta(len(x))
-	next := r.iterateDelta(out, frontier, ds)
-	r.putDelta(ds)
-	return out, next
-}
-
-// iterateDelta is the in-place sparse step: it recomputes the affected
-// nodes of x (reading the vector concurrently, buffering the results in
-// ds.states) and then writes the changed states back into x, returning the
-// next frontier. The caller must own x exclusively.
-func (r *Runner[S, M]) iterateDelta(x []M, frontier []graph.Node, ds *deltaScratch[M]) []graph.Node {
-	g := r.Graph
-	// Candidates: the frontier plus everyone reading a frontier node's
-	// state. Node v aggregates x over its out-arcs, so a change at u feeds
-	// exactly the nodes with an arc into u — u's in-neighbors (the
-	// transpose view; the graph itself when symmetric).
-	cand := ds.cand[:0]
-	for _, u := range frontier {
-		if !ds.touched[u] {
-			ds.touched[u] = true
-			cand = append(cand, u)
-		}
-		for _, a := range g.InNeighbors(u) {
-			if !ds.touched[a.To] {
-				ds.touched[a.To] = true
-				cand = append(cand, a.To)
-			}
-		}
-	}
-	changed := ds.changed[:0]
-	states := ds.states[:0]
-	var zeroM M
-	for range cand {
-		changed = append(changed, false)
-		states = append(states, zeroM)
-	}
-	var workPerNode []int64
-	if r.Tracker != nil {
-		workPerNode = ds.work[:0]
-		for range cand {
-			workPerNode = append(workPerNode, 0)
-		}
-	}
-	agg, fast := r.Module.(semiring.Aggregator[S, M])
-	fa, _ := r.Module.(semiring.FilteredAggregator[S, M])
-	par.ForEachChunk(len(cand), func(start, end int) {
-		st := r.getIter()
-		for i := start; i < end; i++ {
-			v := cand[i]
-			s, work := r.recompute(int(v), x, st, agg, fa, fast)
-			if workPerNode != nil {
-				workPerNode[i] = work
-			}
-			if !r.Module.Equal(s, x[v]) {
-				states[i] = s
-				changed[i] = true
-			}
-		}
-		r.putIter(st)
-	})
-	r.chargePhase(workPerNode)
-	// Write-back after the parallel read phase: no candidate may observe a
-	// neighbor's new state mid-iteration.
-	next := make([]graph.Node, 0, len(cand))
-	for i, v := range cand {
-		if changed[i] {
-			x[v] = states[i]
-			next = append(next, v)
-		}
-		states[i] = zeroM // drop state references before pooling
-		ds.touched[v] = false
-	}
-	ds.cand, ds.changed, ds.states = cand[:0], changed[:0], states[:0]
-	if workPerNode != nil {
-		ds.work = workPerNode[:0]
-	}
-	return next
-}
-
-// Frontier returns the nodes whose state differs from ⊥ — the seed frontier
-// of a sparse fixpoint loop over an already-filtered state vector.
-func (r *Runner[S, M]) Frontier(x []M) []graph.Node {
-	zero := r.Module.Zero()
-	var f []graph.Node
-	for v := range x {
-		if !r.Module.Equal(x[v], zero) {
-			f = append(f, graph.Node(v))
-		}
-	}
-	return f
-}
-
-// zeroStable reports whether the filter maps ⊥ to ⊥ — the property the
-// sparse engine needs so that untouched all-⊥ neighborhoods provably stay
-// ⊥. Every representative projection in this library satisfies it; a custom
-// filter that does not sends RunToFixpoint to the dense loop.
-func (r *Runner[S, M]) zeroStable() bool {
-	if r.Filter == nil {
-		return true
-	}
-	zero := r.Module.Zero()
-	return r.Module.Equal(r.Filter(zero), zero)
 }
 
 // RunToFixpoint iterates until the filtered state vector stops changing or
@@ -455,82 +284,24 @@ func (r *Runner[S, M]) zeroStable() bool {
 // fixpoint. A fixpoint is reached after at most SPD(G) hops for the distance
 // algebras (§1.2), so the count is SPD-related + 1 when it converges.
 //
-// The loop is frontier-driven: it seeds the frontier with the non-⊥ filtered
-// initial states and performs sparse IterateDelta steps until the frontier
-// empties, re-aggregating only nodes that can still change and never
-// scanning the full vector for equality. An all-⊥ input is recognised as a
-// fixpoint immediately, with 0 iterations. The states are identical to
-// RunToFixpointDense's; if the filter does not map ⊥ to ⊥ (no filter in
-// this library does that), the dense loop runs instead.
+// It is the one-lane case of RunToFixpointBatch: the frontier driver seeds
+// with the non-⊥ filtered initial states, re-aggregates only nodes that can
+// still change, and never scans the full vector for equality. An all-⊥ input
+// is recognised as a fixpoint immediately, with 0 iterations (unless the
+// filter resurrects ⊥, which seeds every node).
 func (r *Runner[S, M]) RunToFixpoint(x0 []M, maxIter int) ([]M, int) {
-	if !r.zeroStable() {
-		return r.RunToFixpointDense(x0, maxIter)
-	}
-	x := make([]M, len(x0))
-	for i, s := range x0 {
-		x[i] = r.filter(s)
-	}
-	frontier := r.Frontier(x)
-	ds := r.getDelta(len(x))
-	defer r.putDelta(ds)
-	// The loop owns x (built fresh above), so each sparse step updates it
-	// in place — no per-iteration vector copy.
-	for it := 0; it < maxIter; it++ {
-		if len(frontier) == 0 {
-			return x, it
-		}
-		frontier = r.iterateDelta(x, frontier, ds)
-	}
-	return x, maxIter
-}
-
-// RunToFixpointDense is the dense reference fixpoint loop: every iteration
-// re-aggregates all nodes and a full (early-exiting) vector comparison
-// detects convergence. It computes exactly the states and iteration count of
-// RunToFixpoint (except that an all-⊥ input costs one confirming iteration
-// the sparse loop skips) and remains as the fallback for filters that do not
-// preserve ⊥, and as the differential-test baseline.
-func (r *Runner[S, M]) RunToFixpointDense(x0 []M, maxIter int) ([]M, int) {
-	x := make([]M, len(x0))
-	for i, s := range x0 {
-		x[i] = r.filter(s)
-	}
-	// Ping-pong between two vectors: iterateInto fully overwrites its output,
-	// so the vector from two iterations ago can carry the next one.
-	spare := make([]M, len(x))
-	for it := 1; it <= maxIter; it++ {
-		next := r.iterateInto(x, spare)
-		if r.statesEqual(x, next) {
-			return next, it
-		}
-		x, spare = next, x
-	}
-	return x, maxIter
-}
-
-// statesEqual compares two state vectors node-wise, in parallel, bailing out
-// as soon as any worker finds a mismatch (the remaining indices only load
-// one atomic flag each).
-func (r *Runner[S, M]) statesEqual(x, y []M) bool {
-	var diff atomic.Bool
-	par.ForEach(len(x), func(i int) {
-		if diff.Load() {
-			return
-		}
-		if !r.Module.Equal(x[i], y[i]) {
-			diff.Store(true)
-		}
-	})
-	return !diff.Load()
+	xs, iters := r.RunToFixpointBatch([][]M{x0}, []BatchLane[M]{r.lane()}, maxIter)
+	return xs[0], iters[0]
 }
 
 // Run performs h iterations starting from x0 and returns r^V A^h x(0).
 // The initial filter application is included (states are kept filtered
 // throughout, which Corollary 2.17 shows is equivalent).
 func (r *Runner[S, M]) Run(x0 []M, h int) []M {
+	l := r.lane()
 	x := make([]M, len(x0))
 	for i, s := range x0 {
-		x[i] = r.filter(s)
+		x[i] = l.filter(s)
 	}
 	for i := 0; i < h; i++ {
 		x = r.Iterate(x)

@@ -4,11 +4,11 @@ import "parmbf/internal/graph"
 
 // RunToFixpointFrom resumes a fixpoint computation from a caller-supplied
 // state vector and seed frontier — the incremental-repair entry point of the
-// sparse engine. It is the change-propagation dual of RunToFixpoint: instead
-// of seeding from the non-⊥ initial states of a fresh run, the caller hands
-// in an old fixpoint (or an old fixpoint with some nodes reset) plus the set
-// of nodes whose state or whose inputs changed, and the engine re-aggregates
-// outward from those seeds until the states stabilise again.
+// frontier driver. It is the change-propagation dual of RunToFixpoint:
+// instead of seeding from the non-⊥ initial states of a fresh run, the
+// caller hands in an old fixpoint (or an old fixpoint with some nodes reset)
+// plus the set of nodes whose state or whose inputs changed, and the driver
+// re-aggregates outward from those seeds until the states stabilise again.
 //
 // The contract on (x0, seeds): x0 must already be filtered, and every node
 // NOT in seeds must satisfy the fixpoint equation x0(v) = r(x0(v) ⊕ ⊕_w
@@ -24,31 +24,17 @@ import "parmbf/internal/graph"
 // changed at some iteration (in first-change order — the "affected cone" a
 // caller patches downstream artifacts from), and the number of sparse
 // iterations performed, including the final iteration that confirms the
-// fixpoint. Duplicate seeds are tolerated. A graph whose node count differs
-// from the runner's pooled scratch re-sizes the scratch transparently (see
-// getDelta), so a runner may be re-pointed at an edited graph between calls.
+// fixpoint. Duplicate seeds are tolerated.
 func (r *Runner[S, M]) RunToFixpointFrom(x0 []M, seeds []graph.Node, maxIter int) ([]M, []graph.Node, int) {
-	if len(x0) != r.Graph.N() {
-		panic("mbf: state vector length does not match graph size")
-	}
-	x := make([]M, len(x0))
-	copy(x, x0)
-	frontier := make([]graph.Node, 0, len(seeds))
-	seen := make([]bool, len(x0))
-	for _, v := range seeds {
-		if !seen[v] {
-			seen[v] = true
-			frontier = append(frontier, v)
-		}
-	}
-	clear(seen) // reuse as the changed-set marks below
-	ds := r.getDelta(len(x))
-	defer r.putDelta(ds)
+	x := append([]M(nil), x0...)
+	s := r.newSweep([][]M{x}, []BatchLane[M]{r.lane()})
+	s.seedNodes(seeds)
+	seen := make([]bool, len(x))
 	var changed []graph.Node
 	it := 0
-	for ; it < maxIter && len(frontier) > 0; it++ {
-		frontier = r.iterateDelta(x, frontier, ds)
-		for _, v := range frontier {
+	for ; it < maxIter && len(s.front) > 0; it++ {
+		s.step()
+		for _, v := range s.front {
 			if !seen[v] {
 				seen[v] = true
 				changed = append(changed, v)

@@ -1,12 +1,11 @@
 package mbf
 
-// Differential property tests of the frontier-driven sparse fixpoint engine:
-// on random graphs, IterateDelta and the sparse RunToFixpoint must produce
-// states identical (per Module.Equal, which is exact representation
-// equality for every module here) to the dense engine, for every module and
-// filter configuration and for every parallel width. Runs in the short and
-// -race tiers — the sparse path shares the pooled aggregation scratch and
-// the frontier bookkeeping between workers.
+// Differential property tests of the frontier driver: on random graphs,
+// Stepper and RunToFixpoint must produce states identical (per Module.Equal,
+// which is exact representation equality for every module here) to the
+// dense reference loop, for every module and filter configuration and for
+// every parallel width. Runs in the short and -race tiers — the driver
+// shares the pooled aggregation scratch between workers.
 
 import (
 	"testing"
@@ -139,11 +138,11 @@ func TestSparseFixpointMatchesDenseScalars(t *testing.T) {
 	fixpointBoth(t, rw, w0, g.N())
 }
 
-// TestIterateDeltaMatchesIterate drives the two engines step by step from
-// the same start: after every step the sparse vector must equal the dense
-// one node-for-node, and the returned frontier must be exactly the set of
-// nodes whose state changed in that step.
-func TestIterateDeltaMatchesIterate(t *testing.T) {
+// TestStepperMatchesIterate drives the frontier driver one Step at a time
+// beside the dense Iterate from the same start: after every step the sparse
+// vector must equal the dense one node-for-node, and the driver's frontier
+// must be exactly the set of nodes whose state changed in that step.
+func TestStepperMatchesIterate(t *testing.T) {
 	g := diffGraph(18)
 	r := &Runner[float64, semiring.DistMap]{
 		Graph:         g,
@@ -155,16 +154,17 @@ func TestIterateDeltaMatchesIterate(t *testing.T) {
 	xd := make([]semiring.DistMap, g.N())
 	for v := range xd {
 		if v%2 == 0 {
-			xd[v] = r.filter(semiring.SingletonDist(graph.Node(v), 0))
+			xd[v] = r.lane().filter(semiring.SingletonDist(graph.Node(v), 0))
 		}
 	}
-	xs := append([]semiring.DistMap(nil), xd...)
-	frontier := r.Frontier(xs)
+	st := r.NewStepper(xd)
+	defer st.Release()
 	for step := 0; step < g.N(); step++ {
 		next := r.Iterate(xd)
-		xs, frontier = r.IterateDelta(xs, frontier)
-		inFrontier := make(map[graph.Node]bool, len(frontier))
-		for _, v := range frontier {
+		st.Step()
+		xs := st.States()
+		inFrontier := make(map[graph.Node]bool, len(st.s.front))
+		for _, v := range st.s.front {
 			inFrontier[v] = true
 		}
 		done := true
@@ -183,8 +183,9 @@ func TestIterateDeltaMatchesIterate(t *testing.T) {
 		}
 		xd = next
 		if done {
-			if len(frontier) != 0 {
-				t.Fatalf("fixpoint reached but frontier %v not empty", frontier)
+			if !st.Done() || st.Steps() != step+1 {
+				t.Fatalf("fixpoint reached after %d steps but stepper done=%v steps=%d",
+					step+1, st.Done(), st.Steps())
 			}
 			return
 		}
@@ -239,16 +240,17 @@ func TestSparseFixpointAllBottomInput(t *testing.T) {
 	}
 }
 
-// TestZeroUnstableFilterFallsBackDense: a filter with r(⊥) ≠ ⊥ breaks the
-// frontier invariant; RunToFixpoint must detect it and use the dense loop
-// (whose result is still correct for such filters).
-func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
+// TestZeroUnstableFilterSeedsEveryNode: a filter with r(⊥) ≠ ⊥ breaks the
+// non-⊥ seed invariant, so the driver seeds every node instead; states and
+// iteration counts must still equal the dense reference loop's, including
+// from an all-⊥ input (which such a filter does not leave at ⊥).
+func TestZeroUnstableFilterSeedsEveryNode(t *testing.T) {
 	g := graph.PathGraph(4, 1)
 	r := &Runner[float64, float64]{
 		Graph:  g,
 		Module: semiring.MinPlusSelf{},
 		// Not a lawful representative projection — it invents information at
-		// ⊥ — but exactly the shape the runtime check must catch.
+		// ⊥ — but exactly the shape the all-node seed must handle.
 		Filter: func(x float64) float64 {
 			if semiring.IsInf(x) {
 				return 100
@@ -257,19 +259,22 @@ func TestZeroUnstableFilterFallsBackDense(t *testing.T) {
 		},
 		Weight: MinPlusWeight,
 	}
-	if r.zeroStable() {
-		t.Fatal("zeroStable accepted a filter with r(⊥) ≠ ⊥")
+	seeded := make([]float64, g.N())
+	bottom := make([]float64, g.N())
+	for v := range seeded {
+		seeded[v], bottom[v] = semiring.Inf, semiring.Inf
 	}
-	x0 := make([]float64, g.N())
-	for v := range x0 {
-		x0[v] = semiring.Inf
-	}
-	x0[0] = 0
-	got, _ := r.RunToFixpoint(append([]float64(nil), x0...), 100)
-	want, _ := r.RunToFixpointDense(x0, 100)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("node %d: fallback %v != dense %v", v, got[v], want[v])
+	seeded[0] = 0
+	for _, x0 := range [][]float64{seeded, bottom} {
+		got, gotIters := r.RunToFixpoint(append([]float64(nil), x0...), 100)
+		want, wantIters := r.RunToFixpointDense(x0, 100)
+		if gotIters != wantIters {
+			t.Fatalf("x0=%v: driver ran %d iterations, dense %d", x0, gotIters, wantIters)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("x0=%v node %d: driver %v != dense %v", x0, v, got[v], want[v])
+			}
 		}
 	}
 }

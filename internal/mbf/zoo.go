@@ -36,8 +36,8 @@ func SSSP(g *graph.Graph, source graph.Node, h int, tracker *par.Tracker) []floa
 // as a distance map. sources[v] reports whether v ∈ S; k ≤ 0 means
 // unbounded; d may be ∞.
 //
-// The h iterations run through the frontier-driven sparse engine capped at
-// h: once the filtered states reach their fixpoint the remaining iterations
+// The h iterations run through the frontier driver (RunToFixpoint) capped
+// at h: once the filtered states reach their fixpoint the remaining iterations
 // are identities (Corollary 2.17 filtering plus F(x) = x ⇒ F^j(x) = x), so
 // the output is exactly r^V A^h x(0) at a fraction of the work whenever the
 // graph stabilises before hop h.
@@ -57,18 +57,17 @@ func SourceDetection(g *graph.Graph, sources func(graph.Node) bool, h int, d flo
 			x0[v] = semiring.SingletonDist(graph.Node(v), 0)
 		}
 	}
-	lane := BatchLane[semiring.DistMap]{Filter: r.Filter, FilterInPlace: r.FilterInPlace}
-	out, _ := r.RunToFixpointBatch([][]semiring.DistMap{x0}, []BatchLane[semiring.DistMap]{lane}, h)
-	return out[0]
+	out, _ := r.RunToFixpoint(x0, h)
+	return out
 }
 
 // SourceDetectionBatch runs B independent (S_b, h, d, k)-source-detection
-// instances — one per entry of sourceSets — as a single batched multi-source
-// sweep: every iteration makes one pass over the CSR arcs serving all lanes
-// at once, with per-node bit-packed lane masks tracking which lanes can
-// still change (see mbf.Runner.RunToFixpointBatch). The result equals
-// running SourceDetection per source set, lane for lane (pinned by the
-// batch differential tests), at a fraction of the graph traffic.
+// instances — one per entry of sourceSets — as the lanes of one frontier
+// sweep: every iteration makes one frontier pass serving all lanes at once,
+// with bit-packed lane masks tracking which lanes can still change where
+// (see mbf.Runner.RunToFixpointBatch). The result equals running
+// SourceDetection per source set, lane for lane (pinned by the batch
+// differential tests).
 func SourceDetectionBatch(g *graph.Graph, sourceSets []func(graph.Node) bool, h int, d float64, k int, tracker *par.Tracker) [][]semiring.DistMap {
 	r := &Runner[float64, semiring.DistMap]{
 		Graph:   g,

@@ -12,7 +12,9 @@ package semiring
 // lists through a 4-ary heap of cursors, allocating only the result.
 //
 // Implementing Aggregator is optional. The engine (mbf.Runner) type-asserts
-// for it and falls back to the generic Add/SMul fold, so Definition 2.11
+// for it once per sweep and falls back to the generic Add/SMul fold. Every
+// lane of a batched run goes through the same per-node call, so there is no
+// separate batched interface. Definition 2.11
 // semantics are defined solely by the Semimodule laws; Aggregate must be
 // extensionally equal to the fold (the differential tests in internal/mbf
 // pin this on random graphs for every module below).
@@ -66,22 +68,6 @@ type FilteredAggregator[S, M any] interface {
 	// not retain its argument. The result is freshly allocated, right-sized,
 	// and never aliases self, any term, sc, or the filter's argument.
 	AggregateFiltered(sc *Scratch, self M, terms []Term[S, M], filter Filter[M]) M
-}
-
-// BatchAggregator is the optional batched fast path of a semimodule: one
-// call aggregates B independent lanes — selfs[b] ⊕ ⊕_i terms[b][i] for every
-// lane b — over a single shared Scratch, so the merge buffers stay hot
-// across lanes. It backs the batched multi-source sweep (mbf.Runner's
-// IterateBatch/RunToFixpointBatch), where one pass over the CSR arcs
-// gathers every lane's terms at once.
-//
-// outs must have length len(selfs); outs[b] receives lane b's result, which
-// must equal Aggregate(sc, selfs[b], terms[b]) exactly and never alias an
-// input. Engines fall back to per-lane Aggregate (or the generic fold) when
-// a module does not implement it.
-type BatchAggregator[S, M any] interface {
-	Aggregator[S, M]
-	AggregateBatch(sc *Scratch, selfs []M, terms [][]Term[S, M], outs []M)
 }
 
 // Scratch holds the reusable buffers of Aggregate: the k-way-merge cursor

@@ -292,6 +292,8 @@ func (DistMapModule) SMulInPlace(s float64, x DistMap) DistMap {
 // (min per node ID, shifts applied on the fly) instead of folding Add/SMul.
 // Dead terms (s = ∞ or ⊥ states) are skipped; the result is freshly
 // allocated and never aliases an input, so callers may filter it in place.
+// The mbf frontier driver calls it (or AggregateFiltered) once per
+// recomputed (node, lane) pair, whatever the number of lanes.
 //
 // The merge runs over the SoA node-ID arrays through the branch-light
 // kernel of distmerge.go: direct 2-/3-/4-way merges for small k, two-level
@@ -449,18 +451,6 @@ func (b *smallLists) gather(self DistMap, terms []Term[float64, DistMap]) (n, to
 	return n, total, true
 }
 
-// AggregateBatch is the batched multi-source sweep entry point: it computes,
-// for every lane b, the k-way aggregation selfs[b] ⊕ ⊕_i terms[b][i] through
-// the same SoA kernel, sharing one scratch (cursor heap, reduction arenas,
-// shift buffers stay hot across lanes). outs[b] receives lane b's result,
-// which never aliases any input. It powers mbf.Runner.IterateBatch, where
-// one pass over the CSR arcs gathers the terms of every lane at once.
-func (m DistMapModule) AggregateBatch(sc *Scratch, selfs []DistMap, terms [][]Term[float64, DistMap], outs []DistMap) {
-	for b := range selfs {
-		outs[b] = m.Aggregate(sc, selfs[b], terms[b])
-	}
-}
-
 // Zero returns ⊥, the empty distance map.
 func (DistMapModule) Zero() DistMap { return DistMap{} }
 
@@ -484,7 +474,6 @@ func (DistMapModule) Equal(x, y DistMap) bool {
 
 var (
 	_ Aggregator[float64, DistMap]         = DistMapModule{}
-	_ BatchAggregator[float64, DistMap]    = DistMapModule{}
 	_ FilteredAggregator[float64, DistMap] = DistMapModule{}
 )
 
