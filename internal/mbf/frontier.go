@@ -149,7 +149,7 @@ func (s *sweep[S, M]) step() {
 				for ; word != 0; word &= word - 1 {
 					b := j*64 + bits.TrailingZeros64(word)
 					x := s.xs[b]
-					out, wk := r.recompute(int(v), x, &s.lanes[b], st, &s.k)
+					out, wk := r.recompute(int(v), x, s.lanes[b], st, s.k)
 					sum += wk
 					if !r.Module.Equal(out, x[v]) {
 						staged[k] = out

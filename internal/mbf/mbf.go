@@ -182,7 +182,7 @@ func (r *Runner[S, M]) putIter(st *iterScratch[S, M]) {
 // and the filtered output. st carries the worker's pooled term buffer and
 // merge scratch; the fast path leaves its state references in st.terms for
 // putIter to drop once per chunk.
-func (r *Runner[S, M]) recompute(vi int, x []M, l *BatchLane[M], st *iterScratch[S, M], k *kernel[S, M]) (M, int64) {
+func (r *Runner[S, M]) recompute(vi int, x []M, l BatchLane[M], st *iterScratch[S, M], k kernel[S, M]) (M, int64) {
 	g := r.Graph
 	v := graph.Node(vi)
 	var work int64
@@ -267,7 +267,7 @@ func (r *Runner[S, M]) iterateInto(x, out []M) []M {
 		st := r.getIter()
 		var sum int64
 		for vi := start; vi < end; vi++ {
-			s, w := r.recompute(vi, x, &l, st, &k)
+			s, w := r.recompute(vi, x, l, st, k)
 			out[vi] = s
 			sum += w
 		}
