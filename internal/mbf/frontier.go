@@ -113,6 +113,20 @@ func (s *sweep[S, M]) step() {
 	// the graph itself when symmetric).
 	cand := s.cand[:0]
 	for i, u := range s.front {
+		if w == 1 { // one mask word, the common case: index need directly
+			m := s.masks[i]
+			if need[u] == 0 {
+				cand = append(cand, u)
+			}
+			need[u] |= m
+			for _, a := range r.Graph.InNeighbors(u) {
+				if need[a.To] == 0 {
+					cand = append(cand, a.To)
+				}
+				need[a.To] |= m
+			}
+			continue
+		}
 		m := s.masks[i*w : (i+1)*w]
 		cand = push(cand, need, u, m)
 		for _, a := range r.Graph.InNeighbors(u) {
@@ -149,7 +163,7 @@ func (s *sweep[S, M]) step() {
 				for ; word != 0; word &= word - 1 {
 					b := j*64 + bits.TrailingZeros64(word)
 					x := s.xs[b]
-					out, wk := r.recompute(int(v), x, s.lanes[b], st, s.k)
+					out, wk := r.recompute(int(v), x, &s.lanes[b], st, &s.k)
 					sum += wk
 					if !r.Module.Equal(out, x[v]) {
 						staged[k] = out

@@ -181,8 +181,9 @@ func (r *Runner[S, M]) putIter(st *iterScratch[S, M]) {
 // paths charge identically: the node's own state, every propagated state,
 // and the filtered output. st carries the worker's pooled term buffer and
 // merge scratch; the fast path leaves its state references in st.terms for
-// putIter to drop once per chunk.
-func (r *Runner[S, M]) recompute(vi int, x []M, l BatchLane[M], st *iterScratch[S, M], k kernel[S, M]) (M, int64) {
+// putIter to drop once per chunk. The lane and kernel come by pointer: by
+// value they overflow the argument registers of this per-node call.
+func (r *Runner[S, M]) recompute(vi int, x []M, l *BatchLane[M], st *iterScratch[S, M], k *kernel[S, M]) (M, int64) {
 	g := r.Graph
 	v := graph.Node(vi)
 	var work int64
@@ -264,10 +265,13 @@ func (r *Runner[S, M]) iterateInto(x, out []M) []M {
 	l, k := r.lane(), r.kernel()
 	var work atomic.Int64
 	par.ForEachChunk(len(x), func(start, end int) {
+		// Per-chunk copies: passing the captured variables' addresses would
+		// move them to the heap on every Iterate.
+		l, k := l, k
 		st := r.getIter()
 		var sum int64
 		for vi := start; vi < end; vi++ {
-			s, w := r.recompute(vi, x, l, st, k)
+			s, w := r.recompute(vi, x, &l, st, &k)
 			out[vi] = s
 			sum += w
 		}
