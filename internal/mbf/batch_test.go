@@ -100,21 +100,24 @@ func TestRunToFixpointBatchMatchesSolo(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	for _, seed := range []uint64{4, 5} {
 		g := randomGraph(seed, 36, 100)
-		for _, procs := range maxProcsVariants() {
-			par.MaxProcs = procs
-			xs, lanes, solos := batchCase(g, 5)
-			r := batchRunner(g)
-			gotStates, gotIters := r.RunToFixpointBatch(xs, lanes, g.N())
-			for b := range xs {
-				wantStates, wantIters := solos[b].RunToFixpoint(xs[b], g.N())
-				if gotIters[b] != wantIters {
-					t.Fatalf("seed=%d procs=%d lane=%d: batch ran %d iterations, solo %d",
-						seed, procs, b, gotIters[b], wantIters)
-				}
-				for v := range wantStates {
-					if !r.Module.Equal(gotStates[b][v], wantStates[v]) {
-						t.Fatalf("seed=%d procs=%d lane=%d node=%d: batch %v ≠ solo %v",
-							seed, procs, b, v, gotStates[b][v], wantStates[v])
+		// 70 lanes take two mask words per node.
+		for _, B := range []int{5, 70} {
+			for _, procs := range maxProcsVariants() {
+				par.MaxProcs = procs
+				xs, lanes, solos := batchCase(g, B)
+				r := batchRunner(g)
+				gotStates, gotIters := r.RunToFixpointBatch(xs, lanes, g.N())
+				for b := range xs {
+					wantStates, wantIters := solos[b].RunToFixpoint(xs[b], g.N())
+					if gotIters[b] != wantIters {
+						t.Fatalf("seed=%d B=%d procs=%d lane=%d: batch ran %d iterations, solo %d",
+							seed, B, procs, b, gotIters[b], wantIters)
+					}
+					for v := range wantStates {
+						if !r.Module.Equal(gotStates[b][v], wantStates[v]) {
+							t.Fatalf("seed=%d B=%d procs=%d lane=%d node=%d: batch %v ≠ solo %v",
+								seed, B, procs, b, v, gotStates[b][v], wantStates[v])
+						}
 					}
 				}
 			}

@@ -24,11 +24,13 @@ type sweep[S, M any] struct {
 	masks []uint64 // len(front)·w: the frontier's lane masks
 	live  []uint64 // w words: OR of masks, the lanes still changing
 
-	// Step scratch, reused across steps. need collects, per node, the lanes
-	// pushed onto it; it is all-zero between steps. Candidate i recomputes
-	// the lanes candLanes[i·w:], stages them in staged[slot[i]:], one slot
-	// per lane, and flags the lanes whose state changed in changed[i·w:].
-	need      []uint64
+	// Step scratch, reused across steps. Candidate i of a step is node
+	// cand[i], with pos[cand[i]] = i+1 (pos is 0 for every other node, and
+	// for every node between steps). It recomputes the lanes pushed onto
+	// it, candLanes[i·w:], stages them in staged[slot[i]:], one slot per
+	// lane (slot is nil for a single lane: candidate i stages in slot i),
+	// and flags the lanes whose state changed in changed[i·w:].
+	pos       []int32
 	cand      []graph.Node
 	candLanes []uint64
 	slot      []int32
@@ -53,7 +55,7 @@ func (r *Runner[S, M]) newSweep(xs [][]M, lanes []BatchLane[M]) *sweep[S, M] {
 	return &sweep[S, M]{
 		r: r, k: r.kernel(), lanes: lanes, xs: xs, w: w,
 		live: make([]uint64, w),
-		need: make([]uint64, n*w),
+		pos:  make([]int32, n),
 	}
 }
 
@@ -61,24 +63,26 @@ func (r *Runner[S, M]) newSweep(xs [][]M, lanes []BatchLane[M]) *sweep[S, M] {
 // frontier, in ascending node order, with each lane's non-⊥ states — or
 // with every node for a lane whose filter does not map ⊥ to ⊥.
 func (s *sweep[S, M]) seedFresh() {
-	mod, w := s.r.Module, s.w
+	mod := s.r.Module
 	zero := mod.Zero()
+	all := make([]bool, len(s.lanes))
 	for b, l := range s.lanes {
-		all := l.Filter != nil && !mod.Equal(l.Filter(zero), zero)
-		x := s.xs[b]
-		for v := range x {
+		all[b] = l.Filter != nil && !mod.Equal(l.Filter(zero), zero)
+	}
+	m := make([]uint64, s.w)
+	for v := 0; v < s.r.Graph.N(); v++ {
+		clear(m)
+		for b, l := range s.lanes {
+			x := s.xs[b]
 			x[v] = l.filter(x[v])
-			if all || !mod.Equal(x[v], zero) {
-				s.need[v*w+b/64] |= 1 << (b % 64)
+			if all[b] || !mod.Equal(x[v], zero) {
+				m[b/64] |= 1 << (b % 64)
 			}
 		}
-	}
-	for v := 0; v < s.r.Graph.N(); v++ {
-		if m := s.need[v*w : (v+1)*w]; !maskZero(m) {
+		if !maskZero(m) {
 			s.front = append(s.front, graph.Node(v))
 			s.masks = append(s.masks, m...)
 			orInto(s.live, m)
-			clear(m)
 		}
 	}
 }
@@ -91,13 +95,15 @@ func (s *sweep[S, M]) seedNodes(seeds []graph.Node) {
 		all[b/64] |= 1 << (b % 64)
 	}
 	for _, v := range seeds {
-		s.front = push(s.front, s.need, v, all)
+		s.cand, s.candLanes = push(s.cand, s.candLanes, s.pos, v, all)
 	}
-	for _, v := range s.front {
-		clear(s.need[int(v)*s.w : (int(v)+1)*s.w])
-		s.masks = append(s.masks, all...)
-		orInto(s.live, all)
+	for _, v := range s.cand {
+		s.pos[v] = 0
 	}
+	if len(s.cand) > 0 {
+		copy(s.live, all)
+	}
+	s.front, s.masks, s.cand, s.candLanes = s.cand, s.candLanes, nil, nil
 }
 
 // step performs one sparse iteration in place: it re-aggregates, for
@@ -106,46 +112,49 @@ func (s *sweep[S, M]) seedNodes(seeds []graph.Node) {
 // and makes their nodes the next frontier (in candidate discovery order).
 // It is the only code that advances a frontier.
 func (s *sweep[S, M]) step() {
-	r, w, need := s.r, s.w, s.need
+	r, w, pos := s.r, s.w, s.pos
 	// Candidates: push each frontier node's mask onto the node and onto
 	// every node reading its state. Node v aggregates x over its out-arcs,
 	// so a change at u feeds exactly u's in-neighbors (the transpose view;
 	// the graph itself when symmetric).
-	cand := s.cand[:0]
+	cand, candLanes := s.cand[:0], s.candLanes[:0]
 	for i, u := range s.front {
-		if w == 1 { // one mask word, the common case: index need directly
+		if w == 1 { // one mask word, the common case: no mask slicing
 			m := s.masks[i]
-			if need[u] == 0 {
-				cand = append(cand, u)
+			if p := pos[u]; p != 0 {
+				candLanes[p-1] |= m
+			} else {
+				cand, candLanes = append(cand, u), append(candLanes, m)
+				pos[u] = int32(len(cand))
 			}
-			need[u] |= m
 			for _, a := range r.Graph.InNeighbors(u) {
-				if need[a.To] == 0 {
-					cand = append(cand, a.To)
+				if p := pos[a.To]; p != 0 {
+					candLanes[p-1] |= m
+				} else {
+					cand, candLanes = append(cand, a.To), append(candLanes, m)
+					pos[a.To] = int32(len(cand))
 				}
-				need[a.To] |= m
 			}
 			continue
 		}
 		m := s.masks[i*w : (i+1)*w]
-		cand = push(cand, need, u, m)
+		cand, candLanes = push(cand, candLanes, pos, u, m)
 		for _, a := range r.Graph.InNeighbors(u) {
-			cand = push(cand, need, a.To, m)
+			cand, candLanes = push(cand, candLanes, pos, a.To, m)
 		}
 	}
-	// Move each candidate's lane mask out of need (leaving it all-zero for
-	// the next step) into candLanes, where the parallel phase reads it in
-	// sequence, and hand every (candidate, lane) pair its staging slot.
-	slot, candLanes := s.slot[:0], s.candLanes[:0]
-	total := int32(0)
-	for _, v := range cand {
-		slot = append(slot, total)
-		nv := need[int(v)*w : (int(v)+1)*w]
-		for j, word := range nv {
-			candLanes = append(candLanes, word)
-			total += int32(bits.OnesCount64(word))
-			nv[j] = 0
+	// Hand every (candidate, lane) pair its staging slot.
+	var slot []int32
+	total := int32(len(cand))
+	if len(s.lanes) > 1 {
+		slot, total = s.slot[:0], 0
+		for i := range cand {
+			slot = append(slot, total)
+			for _, word := range candLanes[i*w : (i+1)*w] {
+				total += int32(bits.OnesCount64(word))
+			}
 		}
+		s.slot = slot
 	}
 	s.staged = slices.Grow(s.staged[:0], int(total))
 	staged := s.staged[:total]
@@ -156,7 +165,10 @@ func (s *sweep[S, M]) step() {
 		st := r.getIter()
 		var sum int64
 		for i := start; i < end; i++ {
-			v, k := cand[i], slot[i]
+			v, k := cand[i], int32(i)
+			if slot != nil {
+				k = slot[i]
+			}
 			ch := changed[i*w : (i+1)*w]
 			for j, word := range candLanes[i*w : (i+1)*w] {
 				ch[j] = 0
@@ -183,8 +195,12 @@ func (s *sweep[S, M]) step() {
 	clear(s.live)
 	var zero M
 	for i, v := range cand {
+		pos[v] = 0
 		if ch := changed[i*w : (i+1)*w]; !maskZero(ch) {
-			k := slot[i]
+			k := int32(i)
+			if slot != nil {
+				k = slot[i]
+			}
 			for j, word := range candLanes[i*w : (i+1)*w] {
 				for ; word != 0; word &= word - 1 {
 					if ch[j]&(word&-word) != 0 {
@@ -203,18 +219,18 @@ func (s *sweep[S, M]) step() {
 	}
 	s.prevFront, s.prevMasks = s.front, s.masks
 	s.front, s.masks = front, masks
-	s.cand, s.slot, s.candLanes = cand, slot, candLanes
+	s.cand, s.candLanes = cand, candLanes
 }
 
-// push ORs lane mask m into v's need mask, listing v as a candidate the
-// first time it is touched this step.
-func push(cand []graph.Node, need []uint64, v graph.Node, m []uint64) []graph.Node {
-	nv := need[int(v)*len(m) : (int(v)+1)*len(m)]
-	if maskZero(nv) {
-		cand = append(cand, v)
+// push ORs lane mask m onto node v's candidate mask, making v a candidate
+// the first time it is touched this step.
+func push(cand []graph.Node, candLanes []uint64, pos []int32, v graph.Node, m []uint64) ([]graph.Node, []uint64) {
+	if p := int(pos[v]); p != 0 {
+		orInto(candLanes[(p-1)*len(m):p*len(m)], m)
+		return cand, candLanes
 	}
-	orInto(nv, m)
-	return cand
+	pos[v] = int32(len(cand) + 1)
+	return append(cand, v), append(candLanes, m...)
 }
 
 func maskZero(m []uint64) bool {
