@@ -172,11 +172,52 @@ func TestRunToFixpointBatchSingleLane(t *testing.T) {
 	}
 }
 
-// TestRunToFixpointBatchZeroUnstableLane pins the all-node seed inside a
-// batch: one lane whose filter resurrects ⊥ states, among normal lanes, must
-// leave every lane equal to the dense reference loop, states and iteration
-// counts both.
+// TestRunToFixpointBatchZeroUnstableLane: a batch holding one lane whose
+// filter resurrects ⊥ states (seeded with every node) must still match solo
+// runs lane for lane.
 func TestRunToFixpointBatchZeroUnstableLane(t *testing.T) {
+	g := randomGraph(7, 24, 60)
+	resurrect := func(x semiring.DistMap) semiring.DistMap {
+		if x.Len() == 0 {
+			return semiring.SingletonDist(0, 1)
+		}
+		return x
+	}
+	lanes := []BatchLane[semiring.DistMap]{
+		{Filter: semiring.TopKFilter(2, semiring.Inf, nil), FilterInPlace: semiring.TopKFilterInPlace(2, semiring.Inf, nil)},
+		{Filter: resurrect},
+	}
+	x0 := make([]semiring.DistMap, g.N())
+	for v := range x0 {
+		x0[v] = semiring.SingletonDist(graph.Node(v), 0)
+	}
+	xs := [][]semiring.DistMap{x0, append([]semiring.DistMap(nil), x0...)}
+	r := batchRunner(g)
+	got, gotIters := r.RunToFixpointBatch(xs, lanes, 8)
+	for b := range lanes {
+		solo := &Runner[float64, semiring.DistMap]{
+			Graph:  g,
+			Module: semiring.DistMapModule{},
+			Filter: lanes[b].Filter, FilterInPlace: lanes[b].FilterInPlace,
+			Weight: MinPlusWeight,
+		}
+		want, wantIters := solo.RunToFixpoint(xs[b], 8)
+		if gotIters[b] != wantIters {
+			t.Fatalf("lane=%d: batch ran %d iterations, solo %d", b, gotIters[b], wantIters)
+		}
+		for v := range want {
+			if !r.Module.Equal(got[b][v], want[v]) {
+				t.Fatalf("lane=%d node=%d: batch %v ≠ solo %v", b, v, got[b][v], want[v])
+			}
+		}
+	}
+}
+
+// TestBatchZeroUnstableLaneMatchesDense pins the all-node seed inside a
+// batch against the dense reference: one lane whose filter resurrects ⊥
+// states, among normal lanes, must leave every lane equal to the dense loop,
+// states and iteration counts both.
+func TestBatchZeroUnstableLaneMatchesDense(t *testing.T) {
 	defer func(p int) { par.MaxProcs = p }(par.MaxProcs)
 	g := randomGraph(7, 24, 60)
 	resurrect := func(x semiring.DistMap) semiring.DistMap {
