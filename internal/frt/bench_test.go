@@ -48,6 +48,23 @@ func BenchmarkLEFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkLEFilterRanked runs the same input through the rank-keyed filter
+// of the package's own fixpoints: one scan, no sort.
+func BenchmarkLEFilterRanked(b *testing.B) {
+	rng := par.NewRNG(3)
+	order := NewOrder(256, rng)
+	input := semiring.NewDistMap(64)
+	for node := semiring.NodeID(0); node < 256; node += 4 {
+		input = input.Append(node, float64(rng.Intn(1000)))
+	}
+	input = semiring.Rekeyed([]semiring.DistMap{input}, order.keys().toRank)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankFilter(input)
+	}
+}
+
 func BenchmarkBuildTree(b *testing.B) {
 	rng := par.NewRNG(4)
 	g := graph.RandomConnected(512, 2048, 8, rng)
@@ -114,6 +131,24 @@ func BenchmarkEnsembleShared(b *testing.B) {
 // aggregation fast path accelerates.
 func BenchmarkEmbedderSample(b *testing.B) {
 	g := graph.RandomConnected(128, 512, 8, par.NewRNG(6))
+	e, err := NewEmbedder(g, Options{RNG: par.NewRNG(42)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Sample(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEmbedderSample1024 is BenchmarkEmbedderSample at the shape of
+// the end-to-end embed-oracle workload (n=1024, m=4096), where the H
+// fixpoint dominates the per-tree cost.
+func BenchmarkEmbedderSample1024(b *testing.B) {
+	g := graph.RandomConnected(1024, 4096, 10, par.NewRNG(6))
 	e, err := NewEmbedder(g, Options{RNG: par.NewRNG(42)})
 	if err != nil {
 		b.Fatal(err)

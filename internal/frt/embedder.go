@@ -99,13 +99,16 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	n := e.g.N()
 	order := NewOrder(n, rng)
 	beta := RandomBeta(rng)
-	// Each sample binds a fresh oracle: to its own tracker (ensemble
+	// Each sample binds a fresh oracle to its own tracker (ensemble
 	// sampling charges a private per-tree tracker so the shared tracker can
-	// record max-depth, not summed depth) and to this order's in-place
-	// filter for the aggregation fast path. Only H is shared state.
+	// record max-depth, not summed depth). Only H is shared state. The
+	// fixpoint runs on rank-keyed lists, whose filter is order-free; the
+	// order enters through the initial states and the final translation.
 	oracle := simgraph.NewOracle(e.h, tracker)
-	oracle.FilterInPlace = order.FilterInPlace()
-	lists, iters := oracle.RunToFixpoint(InitialStates(n), order.Filter(), simgraph.MaxIters(n))
+	oracle.FilterInPlace = rankFilterInPlace
+	keys := order.keys()
+	ranked, iters := oracle.RunToFixpoint(keys.initialStates(), rankFilter, simgraph.MaxIters(n))
+	lists := keys.nodeKeyed(ranked)
 	tree, err := BuildTree(lists, order, beta)
 	if err != nil {
 		return nil, err

@@ -45,15 +45,19 @@ func (o *Order) MinNode() graph.Node {
 	panic("frt: empty order")
 }
 
-// Filter returns the LE-list representative projection r of Definition 7.3:
-// an entry (w, x_w) survives iff no other entry (u, x_u) has Rank[u] <
-// Rank[w] and x_u ≤ x_w. Lemma 7.5 shows r is a representative projection
-// of a congruence relation on D, which is what entitles the oracle to apply
-// it after every intermediate iteration.
+// Filter returns the LE-list representative projection r of Definition 7.3
+// on node-keyed maps: an entry (w, x_w) survives iff no other entry
+// (u, x_u) has Rank[u] < Rank[w] and x_u ≤ x_w. Lemma 7.5 shows r is a
+// representative projection of a congruence relation on D, which is what
+// entitles the oracle to apply it after every intermediate iteration.
 //
 // The surviving entries, read in order of increasing distance, have strictly
 // decreasing ranks; their count is O(log n) w.h.p. for any input that does
 // not depend on the random order (Lemma 7.6).
+//
+// The package's own fixpoints key their entries by rank instead and filter
+// with the order-free rankFilter; this node-keyed form serves callers that
+// run their own fixpoint on node-keyed states (congest, traced replays).
 func (o *Order) Filter() semiring.Filter[semiring.DistMap] {
 	inPlace := o.FilterInPlace()
 	return func(x semiring.DistMap) semiring.DistMap {
@@ -61,40 +65,74 @@ func (o *Order) Filter() semiring.Filter[semiring.DistMap] {
 	}
 }
 
-// FilterInPlace is Filter for caller-owned values: it sorts and compacts the
-// surviving entries inside x's backing array, allocating nothing. The engine
-// applies it to the freshly merged output of the aggregation fast path; it
-// must never be used on shared DistMap values (see the type's aliasing
-// contract in internal/semiring).
+// FilterInPlace is Filter for caller-owned values: it filters inside x's
+// backing array, allocating nothing. The engine applies it to the freshly
+// merged output of the aggregation fast path; it must never be used on
+// shared DistMap values (see the type's aliasing contract in
+// internal/semiring).
 //
-// Both variants compute the same representative: the survivor set is
-// uniquely determined (ranks are distinct, so the (distance, rank) sort key
-// has no ties), and the result is re-sorted by node ID.
+// It rekeys x by rank, applies the rank-keyed scan of rankFilterInPlace,
+// and rekeys the survivors back to node IDs, so there is one selection rule
+// for both keyings.
 func (o *Order) FilterInPlace() semiring.Filter[semiring.DistMap] {
-	rank := o.Rank
+	k := o.keys()
 	return func(x semiring.DistMap) semiring.DistMap {
 		if x.Len() == 0 {
 			return semiring.DistMap{}
 		}
-		// Sort by (distance, rank): a sweep then keeps exactly the entries
-		// that no earlier entry dominates.
-		x.SortFunc(func(a, b semiring.Entry) bool {
-			if a.Dist != b.Dist {
-				return a.Dist < b.Dist
-			}
-			return rank[a.Node] < rank[b.Node]
-		})
-		best := ^uint64(0)
-		kept := x.Compact(func(e semiring.Entry) bool {
-			if rank[e.Node] < best {
-				best = rank[e.Node]
-				return true
-			}
-			return false
-		})
-		kept.SortFunc(func(a, b semiring.Entry) bool { return a.Node < b.Node })
-		return kept
+		return rankFilterInPlace(x.RekeyInPlace(k.toRank)).RekeyInPlace(k.toNode)
 	}
+}
+
+// rankFilterInPlace is Definition 7.3 on rank-keyed maps, whose entries sit
+// in rank order: one scan keeps an entry iff its distance is strictly below
+// every lower-ranked entry's. Distance ties go to the lower rank, as the
+// definition requires. Like FilterInPlace it may only touch caller-owned
+// values.
+func rankFilterInPlace(x semiring.DistMap) semiring.DistMap {
+	if x.Len() == 0 {
+		return semiring.DistMap{}
+	}
+	return x.PrefixMinimaInPlace()
+}
+
+// rankFilter is the pure form of rankFilterInPlace.
+func rankFilter(x semiring.DistMap) semiring.DistMap {
+	return rankFilterInPlace(x.Clone())
+}
+
+// rankKeys translates between node IDs and the order's ranks. Inside the
+// package's LE fixpoints every DistMap entry is keyed by the rank π(v) of
+// its node: the k-way merge then emits entries in rank order, so the LE
+// filter is a linear scan (rankFilterInPlace) instead of two sorts. Lists
+// are translated back to node keys once, when they leave the package.
+type rankKeys struct {
+	toRank []semiring.NodeID // toRank[v] = π(v)
+	toNode []semiring.NodeID // toNode[π(v)] = v
+}
+
+// keys builds the order's translation tables. Rank must be a permutation of
+// 0, …, n−1, as NewOrder draws it.
+func (o *Order) keys() rankKeys {
+	k := rankKeys{
+		toRank: make([]semiring.NodeID, len(o.Rank)),
+		toNode: make([]semiring.NodeID, len(o.Rank)),
+	}
+	for v, r := range o.Rank {
+		k.toRank[v] = semiring.NodeID(r)
+		k.toNode[r] = semiring.NodeID(v)
+	}
+	return k
+}
+
+// initialStates is InitialStates keyed by rank: x(0)_v = {π(v): 0}.
+func (k rankKeys) initialStates() []semiring.DistMap {
+	return semiring.KeyedSingletonStates(len(k.toRank), k.toRank)
+}
+
+// nodeKeyed translates rank-keyed lists to fresh node-keyed ones.
+func (k rankKeys) nodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
+	return semiring.Rekeyed(lists, k.toNode)
 }
 
 // SortByDist returns the LE list ordered by increasing distance (the form
@@ -138,46 +176,72 @@ func LEListsOnGraph(g *graph.Graph, order *Order, tracker *par.Tracker) ([]semir
 // makes a single frontier pass serving all orders at once, with bit-packed
 // lane masks tracking which orders can still change where. Lane b's lists
 // and iteration count equal LEListsOnGraph(g, orders[b], …) exactly (pinned
-// by the batch differential tests).
+// by the batch differential tests). The fixpoint runs on rank-keyed lists
+// (see rankKeys); each lane is translated back to node keys at the end.
 func LEListsOnGraphBatch(g *graph.Graph, orders []*Order, tracker *par.Tracker) ([][]semiring.DistMap, []int) {
-	runner := &mbf.Runner[float64, semiring.DistMap]{
-		Graph:   g,
-		Module:  semiring.DistMapModule{},
-		Weight:  mbf.MinPlusWeight,
-		Size:    func(m semiring.DistMap) int { return m.Len() + 1 },
-		Tracker: tracker,
+	keys, ranked, iters := leListsRanked(g, orders, tracker)
+	lists := make([][]semiring.DistMap, len(orders))
+	for b, k := range keys {
+		lists[b] = k.nodeKeyed(ranked[b])
 	}
+	return lists, iters
+}
+
+// leListsRanked is LEListsOnGraphBatch without the final translation: it
+// returns every lane's lists keyed by rank, with the lanes' key tables. All
+// lanes share the order-free rank filter; only their initial states carry
+// the orders.
+func leListsRanked(g *graph.Graph, orders []*Order, tracker *par.Tracker) ([]rankKeys, [][]semiring.DistMap, []int) {
+	keys := make([]rankKeys, len(orders))
 	xs := make([][]semiring.DistMap, len(orders))
 	lanes := make([]mbf.BatchLane[semiring.DistMap], len(orders))
-	for b, order := range orders {
-		xs[b] = InitialStates(g.N())
-		lanes[b] = mbf.BatchLane[semiring.DistMap]{
-			Filter:        order.Filter(),
-			FilterInPlace: order.FilterInPlace(),
-		}
+	for b, o := range orders {
+		keys[b] = o.keys()
+		xs[b] = keys[b].initialStates()
+		lanes[b] = mbf.BatchLane[semiring.DistMap]{Filter: rankFilter, FilterInPlace: rankFilterInPlace}
 	}
-	return runner.RunToFixpointBatch(xs, lanes, g.N())
+	lists, iters := leRunner(g, tracker).RunToFixpointBatch(xs, lanes, g.N())
+	return keys, lists, iters
+}
+
+// leRunner builds the runner of the rank-keyed LE fixpoint on g (Definition
+// 7.3). The rank filter is order-free, so one runner serves every order.
+func leRunner(g *graph.Graph, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
+	return &mbf.Runner[float64, semiring.DistMap]{
+		Graph:         g,
+		Module:        semiring.DistMapModule{},
+		Filter:        rankFilter,
+		FilterInPlace: rankFilterInPlace,
+		Weight:        mbf.MinPlusWeight,
+		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
+		Tracker:       tracker,
+	}
 }
 
 // LEListsFromMetric computes LE lists directly from an explicit metric — the
 // input model of Blelloch et al. [10], where the metric is a complete graph
 // of SPD 1, so a single MBF-like iteration (here: one scan per node)
-// suffices. Work is Θ(n²) by necessity of reading the metric.
+// suffices. Each node walks the candidates in rank order and appends only
+// the survivors of Definition 7.3 (distance strictly below every earlier
+// candidate's), so work is Θ(n²) — by necessity of reading the metric —
+// with no sort.
 func LEListsFromMetric(m *graph.Matrix, order *Order, tracker *par.Tracker) []semiring.DistMap {
 	n := m.N
-	out := make([]semiring.DistMap, n)
-	filter := order.Filter()
+	k := order.keys()
+	ranked := make([]semiring.DistMap, n)
 	par.ForEach(n, func(v int) {
-		full := semiring.NewDistMap(n)
-		for w := 0; w < n; w++ {
-			if d := m.At(v, w); !semiring.IsInf(d) {
-				full = full.Append(graph.Node(w), d)
+		var l semiring.DistMap
+		best := semiring.Inf
+		for r, w := range k.toNode {
+			if d := m.At(v, int(w)); d < best {
+				best = d
+				l = l.Append(semiring.NodeID(r), d)
 			}
 		}
-		out[v] = filter(full)
+		ranked[v] = l
 	})
 	tracker.AddPhase(int64(n)*int64(n), 1)
-	return out
+	return k.nodeKeyed(ranked)
 }
 
 // MaxLELength returns the longest LE list, the quantity bounded by

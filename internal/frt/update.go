@@ -35,7 +35,6 @@ import (
 	"fmt"
 
 	"parmbf/internal/graph"
-	"parmbf/internal/mbf"
 	"parmbf/internal/par"
 	"parmbf/internal/semiring"
 )
@@ -50,9 +49,11 @@ import (
 // daemon holds one update lock) and hand out Ensemble() snapshots to
 // readers.
 type DynamicEnsemble struct {
-	g       *graph.Graph
-	orders  []*Order
-	betas   []float64
+	g      *graph.Graph
+	orders []*Order
+	betas  []float64
+	keys   []rankKeys
+	// lists are the retained fixpoints, keyed by rank (see rankKeys).
 	lists   [][]semiring.DistMap
 	trees   []*Tree
 	tracker *par.Tracker
@@ -108,10 +109,10 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 	if len(orders) == 0 || len(orders) != len(betas) {
 		return nil, fmt.Errorf("frt: need equally many orders and betas (≥ 1), got %d and %d", len(orders), len(betas))
 	}
-	lists, _ := LEListsOnGraphBatch(g, orders, tracker)
+	keys, lists, _ := leListsRanked(g, orders, tracker)
 	trees := make([]*Tree, len(orders))
 	for i := range orders {
-		t, err := BuildTree(lists[i], orders[i], betas[i])
+		t, err := BuildTree(keys[i].nodeKeyed(lists[i]), orders[i], betas[i])
 		if err != nil {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
@@ -121,6 +122,7 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 		g:       g,
 		orders:  orders,
 		betas:   betas,
+		keys:    keys,
 		lists:   lists,
 		trees:   trees,
 		tracker: tracker,
@@ -145,21 +147,6 @@ func (d *DynamicEnsemble) Trees() []*Tree {
 // it in front of readers.
 func (d *DynamicEnsemble) Ensemble() *Ensemble {
 	return &Ensemble{Trees: d.Trees()}
-}
-
-// leRunner builds the solo LE-list runner of Definition 7.3 on g for one
-// order — the repair-path counterpart of LEListsOnGraphBatch's shared
-// runner.
-func leRunner(g *graph.Graph, order *Order, tracker *par.Tracker) *mbf.Runner[float64, semiring.DistMap] {
-	return &mbf.Runner[float64, semiring.DistMap]{
-		Graph:         g,
-		Module:        semiring.DistMapModule{},
-		Filter:        order.Filter(),
-		FilterInPlace: order.FilterInPlace(),
-		Weight:        mbf.MinPlusWeight,
-		Size:          func(m semiring.DistMap) int { return m.Len() + 1 },
-		Tracker:       tracker,
-	}
 }
 
 // taintCone walks support chains forwards over the OLD graph and OLD lists
@@ -255,6 +242,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 	newLists := make([][]semiring.DistMap, d.K())
 	newTrees := make([]*Tree, d.K())
 	module := semiring.DistMapModule{}
+	runner := leRunner(g2, d.tracker)
 	for i := range d.trees {
 		old := d.lists[i]
 		base := old
@@ -267,14 +255,13 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			if len(cone) > 0 {
 				base = append([]semiring.DistMap(nil), old...)
 				for _, v := range cone {
-					base[v] = semiring.SingletonDist(v, 0)
+					base[v] = semiring.SingletonDist(d.keys[i].toRank[v], 0)
 				}
 				seeds = make([]graph.Node, 0, len(cone)+len(sum.Touched))
 				seeds = append(seeds, cone...)
 				seeds = append(seeds, sum.Touched...)
 			}
 		}
-		runner := leRunner(g2, d.orders[i], d.tracker)
 		repaired, changed, iters := runner.RunToFixpointFrom(base, seeds, g2.N())
 		if iters > stats.Iterations {
 			stats.Iterations = iters
@@ -300,7 +287,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			continue
 		}
 		stats.AffectedTrees++
-		t, err := BuildTree(repaired, d.orders[i], d.betas[i])
+		t, err := BuildTree(d.keys[i].nodeKeyed(repaired), d.orders[i], d.betas[i])
 		if err != nil {
 			return nil, fmt.Errorf("frt: repairing tree %d: %w", i, err)
 		}

@@ -20,6 +20,9 @@ type Entry struct {
 // DistMap is an element of the distance-map semimodule D of Definition 2.1:
 // a vector in (ℝ≥0 ∪ {∞})^V stored sparsely, sorted by node ID. Absent nodes
 // implicitly hold ∞. The zero element ⊥ = (∞, …, ∞)ᵀ is the zero DistMap.
+// The algebra only compares keys, so a fixpoint may key its entries by any
+// injective relabelling of the nodes (internal/frt keys LE lists by rank)
+// and translate back with Rekeyed when its values leave it.
 //
 // # Representation
 //
@@ -48,10 +51,10 @@ type Entry struct {
 // output of Aggregate, or a Clone — may use the explicitly in-place
 // operations, which are the only ones allowed to write to their argument:
 // SMulInPlace (rewrites distances), TopKFilterInPlace, Compact, SortFunc,
-// and Order.FilterInPlace in internal/frt (all of which reorder or compact
-// both arrays). Applying them to a value that shares storage with a state
-// vector corrupts every alias, including the shared ID array of an SMul
-// result.
+// RekeyInPlace, PrefixMinimaInPlace, and Order.FilterInPlace in
+// internal/frt (all of which reorder or compact both arrays). Applying them
+// to a value that shares storage with a state vector corrupts every alias,
+// including the shared ID array of an SMul result.
 type DistMap struct {
 	ids []NodeID
 	ds  []float64
@@ -110,11 +113,22 @@ func SingletonDist(v NodeID, d float64) DistMap {
 // published, and the engines only apply in-place filters to merge results
 // they own, never to inputs.
 func SingletonStates(n int) []DistMap {
+	return KeyedSingletonStates(n, nil)
+}
+
+// KeyedSingletonStates is SingletonStates with node v's entry stored under
+// key[v] instead of v: states[v] = {key[v]: 0}. A nil key is the identity.
+// Fixpoints that key their entries by something other than the node ID (the
+// rank-keyed LE lists of internal/frt) start from these states.
+func KeyedSingletonStates(n int, key []NodeID) []DistMap {
 	ids, ds := allocPairs(n)
 	ids, ds = ids[:n], ds[:n]
 	states := make([]DistMap, n)
 	for v := 0; v < n; v++ {
 		ids[v] = NodeID(v)
+		if key != nil {
+			ids[v] = key[v]
+		}
 		// ds is zeroed by allocPairs; each singleton views its own element.
 		states[v] = DistMap{ids: ids[v : v+1 : v+1], ds: ds[v : v+1 : v+1]}
 	}
@@ -206,6 +220,62 @@ func (x DistMap) Compact(keep func(Entry) bool) DistMap {
 		if keep(Entry{Node: x.ids[i], Dist: x.ds[i]}) {
 			x.ids[w] = x.ids[i]
 			x.ds[w] = x.ds[i]
+			w++
+		}
+	}
+	return DistMap{ids: x.ids[:w], ds: x.ds[:w]}
+}
+
+// RekeyInPlace replaces every key k of an exclusively owned map by key[k]
+// and restores key order (see the aliasing contract). key must be injective
+// on x's keys, so the result is again strictly sorted.
+func (x DistMap) RekeyInPlace(key []NodeID) DistMap {
+	for i, k := range x.ids {
+		x.ids[i] = key[k]
+	}
+	sortByID(x.ids, x.ds)
+	return x
+}
+
+// Rekeyed returns RekeyInPlace(key) of a copy of every map in xs. The
+// copies are carved from one backing allocation (see allocPairs) and never
+// alias xs, so xs may share storage freely.
+func Rekeyed(xs []DistMap, key []NodeID) []DistMap {
+	offs := make([]int, len(xs)+1)
+	for i, x := range xs {
+		offs[i+1] = offs[i] + x.Len()
+	}
+	total := offs[len(xs)]
+	ids, ds := allocPairs(total)
+	ids, ds = ids[:total], ds[:total]
+	out := make([]DistMap, len(xs))
+	par.ForEach(len(xs), func(i int) {
+		lo, hi := offs[i], offs[i+1]
+		if lo == hi {
+			return
+		}
+		y := DistMap{ids: ids[lo:hi:hi], ds: ds[lo:hi:hi]}
+		copy(y.ids, xs[i].ids)
+		copy(y.ds, xs[i].ds)
+		out[i] = y.RekeyInPlace(key)
+	})
+	return out
+}
+
+// PrefixMinimaInPlace keeps, in key order, the entries of an exclusively
+// owned map whose distance is strictly below that of every earlier entry,
+// compacting them to the front of x's storage (see the aliasing contract).
+// When keys are ranks of a total order this is exactly the LE-list
+// projection of Definition 7.3 — an entry survives iff no entry of lower
+// rank is at most as far — in one linear scan, with distance ties going to
+// the lower key.
+func (x DistMap) PrefixMinimaInPlace() DistMap {
+	best := Inf
+	w := 0
+	for i, d := range x.ds {
+		if d < best {
+			best = d
+			x.ids[w], x.ds[w] = x.ids[i], d
 			w++
 		}
 	}
@@ -703,6 +773,54 @@ func siftDownMax(hIds []NodeID, hDs []float64, i int) {
 		}
 		hIds[i], hIds[big] = hIds[big], hIds[i]
 		hDs[i], hDs[big] = hDs[big], hDs[i]
+		i = big
+	}
+}
+
+// sortByID sorts the parallel (ids, dists) arrays by ID, which must be
+// unique: insertion sort for short runs (the common case — LE lists have
+// O(log n) entries), heapsort above. Comparisons are on the IDs alone, so no
+// comparator closure is involved.
+func sortByID(ids []NodeID, ds []float64) {
+	n := len(ids)
+	if n <= 16 {
+		for i := 1; i < n; i++ {
+			id, d := ids[i], ds[i]
+			j := i - 1
+			for j >= 0 && ids[j] > id {
+				ids[j+1], ds[j+1] = ids[j], ds[j]
+				j--
+			}
+			ids[j+1], ds[j+1] = id, d
+		}
+		return
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDownByID(ids, ds, i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		ids[0], ids[end] = ids[end], ids[0]
+		ds[0], ds[end] = ds[end], ds[0]
+		siftDownByID(ids, ds, 0, end)
+	}
+}
+
+// siftDownByID restores the max-heap property by ID at index i of the
+// first n elements.
+func siftDownByID(ids []NodeID, ds []float64, i, n int) {
+	for {
+		big, l := i, 2*i+1
+		if l < n && ids[l] > ids[big] {
+			big = l
+		}
+		if r := l + 1; r < n && ids[r] > ids[big] {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		ids[i], ids[big] = ids[big], ids[i]
+		ds[i], ds[big] = ds[big], ds[i]
 		i = big
 	}
 }
