@@ -103,13 +103,13 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 	// sampling charges a private per-tree tracker so the shared tracker can
 	// record max-depth, not summed depth). Only H is shared state. The
 	// fixpoint runs on rank-keyed lists, whose filter is order-free; the
-	// order enters through the initial states and the final translation.
+	// order enters through the initial states, and the lists are translated
+	// to node keys only for the returned Embedding.
 	oracle := simgraph.NewOracle(e.h, tracker)
 	oracle.FilterInPlace = rankFilterInPlace
 	keys := order.keys()
 	ranked, iters := oracle.RunToFixpoint(keys.initialStates(), rankFilter, simgraph.MaxIters(n))
-	lists := keys.nodeKeyed(ranked)
-	tree, err := BuildTree(lists, order, beta)
+	tree, err := buildTree(ranked, keys, beta)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func (e *Embedder) sampleWith(rng *par.RNG, tracker *par.Tracker) (*Embedding, e
 		Tree:       tree,
 		Order:      order,
 		Beta:       beta,
-		LELists:    lists,
+		LELists:    keys.nodeKeyed(ranked),
 		H:          e.h,
 		Iterations: iters,
 	}, nil

@@ -2,6 +2,7 @@ package frt
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -100,17 +101,18 @@ func TestLEFilterOutputShape(t *testing.T) {
 		t.Fatal("LE filter output not sorted by node")
 	}
 	// By increasing distance, ranks strictly decrease.
-	byDist := SortByDist(got)
-	for i := 1; i < byDist.Len(); i++ {
-		if byDist.Dist(i) < byDist.Dist(i-1) {
-			t.Fatal("SortByDist violated")
+	byDist := got.Entries()
+	sort.Slice(byDist, func(i, j int) bool { return byDist[i].Dist < byDist[j].Dist })
+	for i := 1; i < len(byDist); i++ {
+		if byDist[i].Dist == byDist[i-1].Dist {
+			t.Fatal("two LE entries at the same distance")
 		}
-		if o.Rank[byDist.Node(i)] >= o.Rank[byDist.Node(i-1)] {
+		if o.Rank[byDist[i].Node] >= o.Rank[byDist[i-1].Node] {
 			t.Fatal("ranks not strictly decreasing along LE list")
 		}
 	}
 	// The minimum-rank node present always survives.
-	if byDist.Node(byDist.Len()-1) != o.MinNode() && got.Get(o.MinNode()) == semiring.Inf {
+	if byDist[len(byDist)-1].Node != o.MinNode() && got.Get(o.MinNode()) == semiring.Inf {
 		// MinNode may be absent from x; only check if it was present.
 		if x.Get(o.MinNode()) != semiring.Inf {
 			t.Fatal("rank-0 entry filtered out")

@@ -135,21 +135,6 @@ func (k rankKeys) nodeKeyed(lists []semiring.DistMap) []semiring.DistMap {
 	return semiring.Rekeyed(lists, k.toNode)
 }
 
-// SortByDist returns the LE list ordered by increasing distance (the form
-// used by the tree construction): ranks strictly decrease along the result.
-func SortByDist(x semiring.DistMap) semiring.DistMap {
-	out := x.Clone()
-	// Survivor distances are distinct up to the dominating entry, and node
-	// IDs break any remaining ties, so this order is total.
-	out.SortFunc(func(a, b semiring.Entry) bool {
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		return a.Node < b.Node
-	})
-	return out
-}
-
 // InitialStates returns the LE-list initialisation x(0) of Definition 7.3:
 // every node knows itself at distance 0. The singletons share one bulk
 // backing allocation (see semiring.SingletonStates) — at large n the old

@@ -251,3 +251,32 @@ func TestDynamicEnsembleWeightIncreaseRepairs(t *testing.T) {
 		}
 	})
 }
+
+// TestBuildTreeRejectsNonLEList: a list whose distances do not strictly
+// decrease with rank is not an LE list under the order, and BuildTree must
+// say so rather than read centers off it.
+func TestBuildTreeRejectsNonLEList(t *testing.T) {
+	g := graph.RandomConnected(40, 90, 8, par.NewRNG(81))
+	o := NewOrder(g.N(), par.NewRNG(82))
+	lists, _ := LEListsOnGraph(g, o, nil)
+	if _, err := BuildTree(lists, o, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	// Give node v a dominated entry: the rank-0 node's distance plus one,
+	// on a node of higher rank than the rank-0 node that v's list lacks.
+	v := graph.Node(7)
+	root := o.MinNode()
+	var extra graph.Node = -1
+	for w := 0; w < g.N(); w++ {
+		if graph.Node(w) != root && lists[v].Get(graph.Node(w)) == semiring.Inf {
+			extra = graph.Node(w)
+			break
+		}
+	}
+	bad := semiring.MergeMin(lists[v], semiring.SingletonDist(extra, lists[v].Get(root)+1))
+	corrupt := append([]semiring.DistMap(nil), lists...)
+	corrupt[v] = bad
+	if _, err := BuildTree(corrupt, o, 1.5); err == nil {
+		t.Fatalf("BuildTree accepted the non-LE list %v", bad)
+	}
+}

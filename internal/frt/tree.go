@@ -159,7 +159,9 @@ func (t *Tree) Validate() error {
 // BuildTree assembles the FRT tree from LE lists (Lemma 7.2). lists[v] must
 // be the complete LE list of node v w.r.t. a distance function on which the
 // construction is to be performed (the distances of H in the main pipeline),
-// ordered arbitrarily; beta is the random scale β ∈ [1, 2).
+// keyed by node ID; beta is the random scale β ∈ [1, 2). A list that is not
+// an LE list under order — its distances do not strictly decrease with
+// rank — is rejected.
 //
 // For each level i with radius r_i = β·2^i, node v's level-i center is
 // v_i = min{w | dist(v,w) ≤ r_i} — readable directly off the LE list, since
@@ -168,6 +170,18 @@ func (t *Tree) Validate() error {
 // non-zero LE distance (leaf clusters are singletons) and r_imax reaches
 // every node's final LE entry (a single root, centered at the rank-0 node).
 func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, error) {
+	if len(lists) != len(order.Rank) {
+		return nil, fmt.Errorf("frt: %d LE lists for an order on %d nodes", len(lists), len(order.Rank))
+	}
+	k := order.keys()
+	return buildTree(semiring.Rekeyed(lists, k.toRank), k, beta)
+}
+
+// buildTree is BuildTree on rank-keyed lists, the form the package's own
+// fixpoints produce. An LE list in rank order has strictly decreasing
+// distances, so it is already sorted by decreasing distance: v's level-i
+// center is its first entry within r_i, and the list needs no sort.
+func buildTree(lists []semiring.DistMap, k rankKeys, beta float64) (*Tree, error) {
 	n := len(lists)
 	if n == 0 {
 		return nil, fmt.Errorf("frt: no LE lists")
@@ -175,35 +189,53 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 	if beta < 1 || beta >= 2 {
 		return nil, fmt.Errorf("frt: beta %v outside [1,2)", beta)
 	}
-	// Sort every list and reduce the distance range in parallel: the
-	// per-node sorts are independent, and min/max are order-free, so the
-	// result is identical at any parallel width. Validation failures record
-	// the lowest offending node so the error matches the serial scan's.
-	sorted := make([]semiring.DistMap, n)
+	// Validate every list, copy it into one contiguous (center, distance)
+	// array with its keys mapped to node IDs, and reduce the distance range,
+	// all in parallel: min and max are order-free, so the result is
+	// identical at any parallel width. The copy is for the level sweep
+	// below, which reads every list once per level — a fixpoint's lists lie
+	// scattered over the heap. Validation failures record the lowest
+	// offending node so the error matches the serial scan's.
+	offs := make([]int, n+1)
+	for v, l := range lists {
+		offs[v+1] = offs[v] + l.Len()
+	}
+	centers := make([]graph.Node, offs[n])
+	dists := make([]float64, offs[n])
 	type rangeAcc struct {
 		dmin, dmax float64
 		badEmpty   int // lowest node with an empty list, or n
 		badSelf    int // lowest node whose list lacks self@0, or n
+		badOrder   int // lowest node whose list is not an LE list, or n
 	}
 	acc := par.Reduce(n,
-		rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n},
+		rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n, badOrder: n},
 		func(v int) rangeAcc {
-			r := rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n}
+			r := rangeAcc{dmin: semiring.Inf, badEmpty: n, badSelf: n, badOrder: n}
 			l := lists[v]
-			if l.Len() == 0 {
+			last := l.Len() - 1
+			if last < 0 {
 				r.badEmpty = v
 				return r
 			}
-			s := SortByDist(l)
-			if s.Node(0) != graph.Node(v) || s.Dist(0) != 0 {
+			if l.Node(last) != k.toRank[v] || l.Dist(last) != 0 {
 				r.badSelf = v
 				return r
 			}
-			sorted[v] = s
-			if s.Len() > 1 {
-				r.dmin = s.Dist(1)
+			for j := 0; j < last; j++ {
+				if !(l.Dist(j) > l.Dist(j+1)) {
+					r.badOrder = v
+					return r
+				}
 			}
-			r.dmax = s.Dist(s.Len() - 1)
+			for j := 0; j <= last; j++ {
+				centers[offs[v]+j] = k.toNode[l.Node(j)]
+				dists[offs[v]+j] = l.Dist(j)
+			}
+			if last > 0 {
+				r.dmin = l.Dist(last - 1)
+			}
+			r.dmax = l.Dist(0)
 			return r
 		},
 		func(a, b rangeAcc) rangeAcc {
@@ -219,6 +251,9 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 			if b.badSelf < a.badSelf {
 				a.badSelf = b.badSelf
 			}
+			if b.badOrder < a.badOrder {
+				a.badOrder = b.badOrder
+			}
 			return a
 		})
 	if acc.badEmpty < n && acc.badEmpty <= acc.badSelf {
@@ -226,6 +261,9 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 	}
 	if acc.badSelf < n {
 		return nil, fmt.Errorf("frt: LE list of %d lacks self at distance 0", acc.badSelf)
+	}
+	if acc.badOrder < n {
+		return nil, fmt.Errorf("frt: list of %d is not an LE list under the order", acc.badOrder)
 	}
 	dmin, dmax := acc.dmin, acc.dmax
 	if semiring.IsInf(dmin) {
@@ -245,25 +283,25 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 		imax++
 	}
 
-	// v's level-i center is the last LE entry with distance ≤ r_i. The sweep
-	// below visits levels top-down with strictly shrinking radii, so each
-	// node keeps a cursor into its sorted list that only ever moves left:
-	// total center work per node is O(len + levels) instead of O(len·levels),
-	// and the per-level cursor advance is embarrassingly parallel. Entry 0 is
-	// self at distance 0 ≤ r, so the cursor never underflows.
-	cursor := make([]int32, n)
+	// v's level-i center is its first (lowest-rank) LE entry with distance
+	// ≤ r_i. The sweep below visits levels top-down with strictly shrinking
+	// radii, so each node keeps a cursor into its list that only ever moves
+	// right: total center work per node is O(len + levels) instead of
+	// O(len·levels), and the per-level cursor advance is embarrassingly
+	// parallel. The last entry is self at distance 0 ≤ r, so the cursor
+	// never overruns.
+	cursor := append([]int(nil), offs[:n]...)
 	advance := func(i int) {
 		r := beta * math.Pow(2, float64(i))
 		par.ForEach(n, func(v int) {
-			s := sorted[v]
-			j := cursor[v]
-			for j > 0 && s.Dist(int(j)) > r {
-				j--
+			j, last := cursor[v], offs[v+1]-1
+			for j < last && dists[j] > r {
+				j++
 			}
 			cursor[v] = j
 		})
 	}
-	centerAt := func(v int) graph.Node { return sorted[v].Node(int(cursor[v])) }
+	centerAt := func(v int) graph.Node { return centers[cursor[v]] }
 
 	tree := &Tree{Beta: beta, Leaf: make([]int32, n)}
 	addNode := func(parent int32, c graph.Node, level int, w float64) int32 {
@@ -276,10 +314,7 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 	}
 
 	// Root: all nodes share the center at level imax (the rank-0 node).
-	// Start every cursor at the end of its list and pull it back to r_imax.
-	for v := 0; v < n; v++ {
-		cursor[v] = int32(sorted[v].Len() - 1)
-	}
+	// Every cursor starts at the list's head and advances to r_imax.
 	advance(imax)
 	rootCenter := centerAt(0)
 	agree := par.Reduce(n, true,
@@ -306,11 +341,11 @@ func BuildTree(lists []semiring.DistMap, order *Order, beta float64) (*Tree, err
 		ids := make(map[key]int32)
 		w := 2 * beta * math.Pow(2, float64(i)) // doubled weight; see Tree doc
 		for v := 0; v < n; v++ {
-			k := key{parent: cur[v], center: centerAt(v)}
-			id, ok := ids[k]
+			c := key{parent: cur[v], center: centerAt(v)}
+			id, ok := ids[c]
 			if !ok {
-				id = addNode(k.parent, k.center, i, w)
-				ids[k] = id
+				id = addNode(c.parent, c.center, i, w)
+				ids[c] = id
 			}
 			cur[v] = id
 		}

@@ -112,7 +112,7 @@ func NewDynamicEnsembleWith(g *graph.Graph, orders []*Order, betas []float64, tr
 	keys, lists, _ := leListsRanked(g, orders, tracker)
 	trees := make([]*Tree, len(orders))
 	for i := range orders {
-		t, err := BuildTree(keys[i].nodeKeyed(lists[i]), orders[i], betas[i])
+		t, err := buildTree(lists[i], keys[i], betas[i])
 		if err != nil {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
@@ -287,7 +287,7 @@ func (d *DynamicEnsemble) ApplyEdits(edits []graph.Edit) (*UpdateStats, error) {
 			continue
 		}
 		stats.AffectedTrees++
-		t, err := BuildTree(d.keys[i].nodeKeyed(repaired), d.orders[i], d.betas[i])
+		t, err := buildTree(repaired, d.keys[i], d.betas[i])
 		if err != nil {
 			return nil, fmt.Errorf("frt: repairing tree %d: %w", i, err)
 		}
