@@ -98,7 +98,7 @@ bench-semiring:
 ## acceptance bar of the query subsystem is MinBatch ≥ 10× faster than the
 ## walk.
 bench-oracle:
-	@out="$$($(GO) test ./internal/frt/ ./cmd/parmbfd/ -run xxx -bench 'OracleWalkMin4096|OracleIndexMinBatch4096|OracleIndexMedianBatch4096|OracleIndexBuild4096|SnapshotWrite4096|SnapshotLoad4096|OracleRebuild4096|ServerBatch1024|FleetBatch1024' -benchmem)" \
+	@out="$$($(GO) test ./internal/frt/ ./cmd/parmbfd/ -run xxx -bench 'OracleWalkMin4096|OracleIndexMinBatch4096|OracleIndexMinBatchSplit|OracleIndexMedianBatch4096|OracleIndexBuild4096|SnapshotWrite4096|SnapshotLoad4096|OracleRebuild4096|ServerBatch1024|FleetBatch1024' -benchmem)" \
 		|| { echo "$$out"; echo "bench-oracle: go test failed"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | grep '^Benchmark' | jq -R . | jq -sc \

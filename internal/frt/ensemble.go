@@ -3,7 +3,6 @@ package frt
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"parmbf/internal/graph"
@@ -61,10 +60,11 @@ func SampleEnsemble(count int, sampler func() (*Embedding, error)) (*Ensemble, e
 // Min returns the smallest tree distance over the ensemble — an upper bound
 // on dist(u, v, G) that tightens as trees are added. It answers from the
 // OracleIndex (bitwise identical to the direct parent-walk minimum). If the
-// index cannot be built because any tree is structurally invalid, the whole
-// ensemble falls back to the O(trees·depth) parent walk — check
-// (*Ensemble).Index's error to detect that state rather than serving at
-// walk speed.
+// index cannot be built — some tree is structurally invalid, or not
+// level-uniform (possible for hand-assembled trees, never for BuildTree's)
+// — the whole ensemble falls back to the O(trees·depth) parent walk; Median
+// and Evaluate do the same. Check (*Ensemble).Index's error to detect that
+// state rather than serving at walk speed.
 func (e *Ensemble) Min(u, v graph.Node) float64 {
 	if idx, err := e.Index(); err == nil {
 		return idx.Min(u, v)
@@ -74,7 +74,7 @@ func (e *Ensemble) Min(u, v graph.Node) float64 {
 
 // minWalk is the pre-index query path: one lockstep parent walk per tree.
 // It is the reference implementation the differential tests pin MinBatch
-// against, and the fallback for structurally invalid trees.
+// against, and the fallback for trees the index rejects.
 func (e *Ensemble) minWalk(u, v graph.Node) float64 {
 	best := e.Trees[0].Dist(u, v)
 	for _, t := range e.Trees[1:] {
@@ -95,12 +95,7 @@ func (e *Ensemble) Median(u, v graph.Node) float64 {
 	for i, t := range e.Trees {
 		ds[i] = t.Dist(u, v)
 	}
-	sort.Float64s(ds)
-	mid := len(ds) / 2
-	if len(ds)%2 == 1 {
-		return ds[mid]
-	}
-	return (ds[mid-1] + ds[mid]) / 2
+	return medianOf(ds)
 }
 
 // EnsembleStats summarises ensemble quality on random pairs.

@@ -52,18 +52,12 @@ func NewTreeIndex(t *Tree) (*TreeIndex, error) {
 	if len(t.EdgeWeight) < t.NumNodes() {
 		return nil, fmt.Errorf("frt: tree has %d parents but %d edge weights", t.NumNodes(), len(t.EdgeWeight))
 	}
-	// Measure the depth of Leaf[0] with explicit bounds checks (Tree.Depth
+	// Leaf[0]'s depth is measured with explicit bounds checks (Tree.Depth
 	// assumes a valid tree; the index must not) — every other leaf is then
 	// required to match it during the parallel fill.
-	depth := 0
-	for u := t.Leaf[0]; ; depth++ {
-		if u < 0 || int(u) >= t.NumNodes() || depth > t.NumNodes() {
-			return nil, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)")
-		}
-		if t.Parent[u] == -1 {
-			break
-		}
-		u = t.Parent[u]
+	depth, ok := leafDepth(t)
+	if !ok {
+		return nil, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)")
 	}
 	stride := depth + 1
 	x := &TreeIndex{
@@ -158,6 +152,21 @@ func (x *TreeIndex) LCA(u, v graph.Node) int32 {
 	return x.anc[int(u)*x.stride+x.MergeHeight(u, v)]
 }
 
+// mergeHeight binary-searches one int32 ancestor-row pair for the first
+// height at which they agree — TreeIndex's merge-height search.
+func mergeHeight(au, av []int32) int {
+	lo, hi := 0, len(au)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if au[mid] == av[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Pair is a distance-query pair.
 type Pair struct {
 	U, V graph.Node
@@ -165,65 +174,52 @@ type Pair struct {
 
 // OracleIndex is the batched query service over an ensemble of indexed
 // trees: Min answers the paper's headline estimate min_k dist_Tk(u,v) — an
-// O(log n)-expected-stretch upper bound on dist_G(u,v) — in O(K·log depth)
-// array lookups, and MinBatch fans a pair slice out over par.ForEach.
+// O(log n)-expected-stretch upper bound on dist_G(u,v) — in O(K·depth/4)
+// word operations, and MinBatch fans a pair slice out over par.ForEach.
 //
-// The per-tree TreeIndex rows are additionally repacked into one block per
-// graph node holding all K trees' ancestor and prefix-weight rows
-// back-to-back (shallower trees padded by repeating their root). A query
-// then streams exactly two contiguous blocks — one per endpoint — instead
-// of touching 2·K rows scattered across K separate indexes, which is what
-// makes the batched path an order of magnitude faster than the parent
-// walk even on a single core.
+// Every tree must be level-uniform (see Tree.levelWeights): all edges
+// leaving height-h clusters weigh the same, which is how BuildTree builds
+// trees (the level-i edge weight 2β2^i does not depend on the cluster). A
+// tree distance then depends only on the merge height, so the index keeps
+// one small K-row table of prefix weights, and a query reads nothing per
+// leaf except the two endpoints' packed ancestor rows. NewOracleIndex
+// rejects any other tree; Ensemble queries answer such ensembles by the
+// parent walk.
 type OracleIndex struct {
-	n      int
-	k      int   // ensemble size
-	depths []int // per-tree leaf depth (the per-tree indexes are not retained)
-	// stride is maxDepth+1: every packed row is padded to it, so one search
-	// loop serves all trees.
+	n int
+	k int // ensemble size
+	// stride is maxDepth+1, the height count of the deepest tree. Shallower
+	// trees are padded to it: heights past a tree's depth repeat its root.
 	stride int
-	// anc[(v*k+t)*stride + h] is the height-h ancestor of v's leaf in tree
-	// t; heights past tree t's depth repeat its root. Built only when the
-	// packed representation is disabled (test knob / external callers that
-	// want the plain rows).
-	anc []int32
-	// pw mirrors anc with the prefix weight from the leaf up to height h.
-	// Built only when the shared level-weight table is unavailable.
-	pw []float64
-	// pwShared collapses pw when every tree is level-uniform — all leaves
-	// of a tree see the same edge weight at each height, which is how
-	// BuildTree constructs trees (the level-i edge weight 2β2^i does not
-	// depend on the cluster). Then pw[(v*k+t)*stride+h] == pwShared[t*stride+h]
-	// for every v, the whole table is k·stride floats that live in L1, and
-	// a query's memory traffic drops to the two packed ancestor rows.
-	// Nil when any tree has non-uniform level weights (possible for trees
-	// deserialised from elsewhere); queries then read the per-leaf pw.
-	pwShared []float64
-	// packed is the fast merge-height representation: ancestors are
-	// renumbered into per-height dense cluster ids (equality-preserving, so
-	// XOR comparisons find the merge height) and packed into uint64 words.
-	// The heights split by lane width at `split`: heights ≥ split have at
-	// most 65536 distinct clusters in every tree, so their ids pack four
-	// 16-bit lanes per word into packed — packed[(v*k+t)*words + (h-split)/4],
-	// lane (h-split)%4 — while the low heights 0…split-1 (where cluster
-	// counts can approach n) pack two 32-bit lanes per word into packedLo.
-	// Cluster counts only shrink going up (clusters merge), so one split
-	// serves every tree, and for n ≤ 65536 the split is 0: the whole row is
-	// 16-bit lanes and packedLo is empty. The merge height of a pair in one
-	// tree is a top-down scan of XOR-compared words — high row first, then
-	// the low row — plus one leading-zero count: O(depth/4) word ops,
-	// typically 2–3, instead of a pointer walk or a lane-wise search.
+	// packed holds one row of `words` uint64 per (node, tree), rows of one
+	// node back to back: packed[(v*k+t)*words + w]. Ancestors are renumbered
+	// into per-height dense cluster ids (equality-preserving, so XOR
+	// comparisons find the merge height). The first loWords words hold two
+	// 32-bit lanes each for heights 0…split-1 (height h in word h/2, lane
+	// h%2); the rest hold four 16-bit lanes each for heights ≥ split (word
+	// loWords+(h-split)/4, lane (h-split)%4). Heights ≥ split have at most
+	// 65536 distinct clusters in every tree; cluster counts only shrink
+	// going up, so one split serves every tree, and for n ≤ 65536 it is 0
+	// and the row is all 16-bit lanes.
 	packed []uint64
-	// packedLo holds the 32-bit lanes of heights < split (nil when split=0).
-	packedLo []uint64
 	// split is the first height whose cluster ids fit 16-bit lanes.
 	split int
-	// words is the padded word count per (node, tree) high row:
-	// ceil((stride-split)/4).
+	// words is the word count per (node, tree) row: loWords+⌈(stride-split)/4⌉.
 	words int
-	// loWords is the word count per (node, tree) low row: ceil(split/2).
+	// loWords is the count of 32-bit-lane words at the front of a row: ⌈split/2⌉.
 	loWords int
-	med     par.Pool[*[]float64]
+	// levels[t*lanes+p] is the edge weight from any leaf of tree t up to its
+	// ancestor at merge position p, summed bottom-up like Tree.Dist, so a
+	// tree distance is levels[t*lanes+p] + levels[t*lanes+p] to the last
+	// bit. A merge position is one above the highest differing 16-bit lane
+	// of a row (0 when none differs), which makes the merge scan the same
+	// arithmetic whatever the split: position p is height p for a 16-bit
+	// row, a 32-bit lane spans two positions of one height, and heights ≥
+	// split sit 2·loWords−split positions further up (see heightAt).
+	levels []float64
+	// lanes is the level-table row length: 4·words+1 merge positions.
+	lanes int
+	med   par.Pool[*[]float64]
 }
 
 // packedLaneMax is the largest per-height cluster count a 16-bit lane can
@@ -232,143 +228,99 @@ type OracleIndex struct {
 const packedLaneMax = 1 << 16
 
 // NewOracleIndex indexes every tree of the ensemble. All trees must embed
-// the same node set.
-func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
-	return newOracleIndex(trees, false, false)
-}
-
-// newOracleIndex is the constructor with kernel-selection knobs, used by
-// tests to force the fallback kernels that NewOracleIndex would not build
-// on level-uniform ensembles.
+// the same node set and be level-uniform; the error names the first tree
+// that is not.
 //
 // Construction streams over the trees one at a time: each tree's TreeIndex
-// is built, scattered into the selected resident tables, and dropped
-// before the next tree is touched, so the construction peak holds one
-// n·stride index instead of K of them — at n = 2^20 and K = 16 the
-// difference between ~0.3 GB and ~5 GB of scratch. Each representation is
-// materialised only if its kernel is selected: the repacked int32/float64
-// fallback tables are skipped entirely when the packed words and the
-// shared level-weight table supersede them — for the common case
-// (BuildTree trees) the resident index is the packed words plus one
-// k·stride float table.
-func newOracleIndex(trees []*Tree, disablePacked, disableShared bool) (*OracleIndex, error) {
+// is built, packed into its rows, and dropped before the next tree is
+// touched, so the construction peak holds one n·stride index instead of K
+// of them — at n = 2^20 and K = 16 the difference between ~0.3 GB and
+// ~5 GB of scratch. The resident index is the packed words plus one
+// K·lanes float table.
+func NewOracleIndex(trees []*Tree) (*OracleIndex, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("frt: oracle index needs ≥ 1 tree")
 	}
-	o := &OracleIndex{n: len(trees[0].Leaf), k: len(trees), depths: make([]int, len(trees))}
+	o := &OracleIndex{n: len(trees[0].Leaf), k: len(trees)}
 	o.med.New = func() *[]float64 { ds := make([]float64, o.k); return &ds }
-	// Cheap pre-pass: per-tree depths (for the padded stride) and per-height
-	// cluster-count bounds (for the 16/32-bit lane split), both derivable
-	// from the parent arrays alone — no TreeIndex needed. Structural defects
-	// are NOT diagnosed here; the streaming loop's NewTreeIndex reports them
-	// with the same wording as before.
-	maxDepth := 0
+	// Cheap pre-pass over the parent arrays alone — no TreeIndex needed:
+	// per-tree level weights (their count is the depth, which fixes the
+	// padded stride) and, for large n, per-height cluster-count bounds for
+	// the 16/32-bit lane split.
+	weights := make([][]float64, len(trees))
 	for i, t := range trees {
 		if len(t.Leaf) != o.n {
 			return nil, fmt.Errorf("frt: tree %d embeds %d nodes, tree 0 embeds %d", i, len(t.Leaf), o.n)
 		}
-		d, ok := leafDepth(t)
-		if !ok {
-			return nil, fmt.Errorf("frt: tree %d: %w", i, fmt.Errorf("frt: broken parent chain at leaf 0 (run Validate for details)"))
+		w, err := t.levelWeights()
+		if err != nil {
+			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
-		o.depths[i] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
+		weights[i] = w
+		o.stride = max(o.stride, len(w)+1)
 	}
-	o.stride = maxDepth + 1
 	// split = lowest height whose cluster count fits a 16-bit lane in every
 	// tree. Distinct height-h ancestors of the n leaves number at most
 	// min(n, nodes at the matching tree level), so for n ≤ 65536 the split
-	// is always 0 (pure 16-bit rows, the historical layout).
-	o.split = 0
-	if !disablePacked {
-		if o.n > packedLaneMax {
-			bound := make([]int, o.stride)
-			for i, t := range trees {
-				counts := treeLevelCounts(t, o.depths[i])
-				for h := 0; h < o.stride; h++ {
-					c := o.n
-					if counts != nil && h <= o.depths[i] && int(counts[h]) < c {
-						c = int(counts[h])
-					} else if counts != nil && h > o.depths[i] {
-						c = 1 // padded heights repeat the root
-					}
-					if c > bound[h] {
-						bound[h] = c
-					}
+	// is always 0.
+	if o.n > packedLaneMax {
+		bound := make([]int, o.stride)
+		for i, t := range trees {
+			depth := len(weights[i])
+			counts := treeLevelCounts(t, depth)
+			for h := range bound {
+				c := o.n
+				if counts != nil && h <= depth && int(counts[h]) < c {
+					c = int(counts[h])
+				} else if counts != nil && h > depth {
+					c = 1 // padded heights repeat the root
 				}
-			}
-			for h := o.stride - 1; h >= 0; h-- {
-				if bound[h] > packedLaneMax {
-					o.split = h + 1
-					break
-				}
+				bound[h] = max(bound[h], c)
 			}
 		}
-		o.words = (o.stride - o.split + 3) / 4
-		o.loWords = (o.split + 1) / 2
-		o.packed = make([]uint64, o.n*o.k*o.words)
-		if o.loWords > 0 {
-			o.packedLo = make([]uint64, o.n*o.k*o.loWords)
+		for h := o.stride - 1; h >= 0; h-- {
+			if bound[h] > packedLaneMax {
+				o.split = h + 1
+				break
+			}
 		}
 	}
-	needPw := disableShared
-	shared := make([]float64, o.k*o.stride)
-	uniform := !disableShared
-	if disablePacked {
-		o.anc = make([]int32, o.n*o.k*o.stride)
+	o.loWords = (o.split + 1) / 2
+	o.words = o.loWords + (o.stride-o.split+3)/4
+	o.lanes = 4*o.words + 1
+	o.packed = make([]uint64, o.n*o.k*o.words)
+	o.levels = make([]float64, o.k*o.lanes)
+	for i, w := range weights {
+		row := o.levels[i*o.lanes : (i+1)*o.lanes]
+		sum, h := 0.0, 0
+		for p := range row {
+			for ; h < o.heightAt(p); h++ {
+				if h < len(w) { // heights past the depth keep the leaf-to-root weight
+					sum += w[h]
+				}
+			}
+			row[p] = sum
+		}
 	}
-	// Streaming pass: index one tree, scatter it, drop it.
+	// Streaming pass: index one tree, pack it, drop it.
 	for i, t := range trees {
 		x, err := NewTreeIndex(t)
 		if err != nil {
 			return nil, fmt.Errorf("frt: tree %d: %w", i, err)
 		}
-		if o.packed != nil {
-			o.packTree(x, i)
-		}
-		if o.anc != nil {
-			o.scatterAnc(x, i)
-		}
-		if uniform {
-			row := shared[i*o.stride : (i+1)*o.stride]
-			copy(row, x.pw[:x.stride]) // leaf 0's row
-			for h := x.stride; h < o.stride; h++ {
-				row[h] = x.pw[x.depth] // pad with the full leaf-to-root weight
-			}
-			if !o.uniformWeights(x, row) {
-				// A non-uniform tree (deserialised from elsewhere) voids the
-				// shared table; switch to per-leaf weights, back-filling the
-				// already-dropped earlier trees below.
-				uniform = false
-				needPw = true
-			}
-		}
-		if needPw {
-			if o.pw == nil {
-				o.pw = make([]float64, o.n*o.k*o.stride)
-			}
-			o.scatterPw(x, i)
-		}
-	}
-	if uniform {
-		o.pwShared = shared
-	} else if o.pw != nil {
-		// Back-fill the trees streamed before non-uniformity was detected
-		// (their indexes are gone). This re-indexes a prefix of the ensemble
-		// — the rare path, taken only for non-BuildTree ensembles.
-		for i := range trees {
-			if !o.pwFilled(i) {
-				x, err := NewTreeIndex(trees[i])
-				if err != nil {
-					return nil, fmt.Errorf("frt: tree %d: %w", i, err)
-				}
-				o.scatterPw(x, i)
-			}
-		}
+		o.packTree(x, i)
 	}
 	return o, nil
+}
+
+// heightAt maps a merge position to its merge height: positions up to
+// 4·loWords fall in the 32-bit lanes (two positions per height), the rest
+// in the 16-bit lanes (one per height, starting at split).
+func (o *OracleIndex) heightAt(p int) int {
+	if p <= 4*o.loWords {
+		return (p + 1) / 2
+	}
+	return p - 4*o.loWords + o.split
 }
 
 // leafDepth measures the parent-chain length of Leaf[0] with explicit
@@ -443,115 +395,41 @@ func treeLevelCounts(t *Tree, depth int) []int32 {
 	return counts
 }
 
-// scatterAnc repacks one tree's int32 ancestor rows into the per-node
-// blocks of the binary-search fallback kernel. Padding repeats the root:
-// the padded heights stay equal across any two nodes, so the merge-height
-// search is unchanged.
-func (o *OracleIndex) scatterAnc(x *TreeIndex, t int) {
-	par.ForEach(o.n, func(v int) {
-		dst := (v*o.k + t) * o.stride
-		src := v * x.stride
-		copy(o.anc[dst:dst+x.stride], x.anc[src:src+x.stride])
-		root := x.anc[src+x.depth]
-		for h := x.stride; h < o.stride; h++ {
-			o.anc[dst+h] = root
-		}
-	})
-}
-
-// scatterPw repacks one tree's per-leaf prefix weights into the per-node
-// blocks — the distance lookup for trees with non-uniform level weights.
-func (o *OracleIndex) scatterPw(x *TreeIndex, t int) {
-	par.ForEach(o.n, func(v int) {
-		dst := (v*o.k + t) * o.stride
-		src := v * x.stride
-		copy(o.pw[dst:dst+x.stride], x.pw[src:src+x.stride])
-		top := x.pw[src+x.depth]
-		for h := x.stride; h < o.stride; h++ {
-			o.pw[dst+h] = top
-		}
-	})
-}
-
-// pwFilled reports whether tree t's pw rows were already scattered (every
-// prefix-weight row starts at 0 and is non-decreasing with positive edge
-// weights, so a still-zero final entry at some leaf means "not filled" —
-// except for the degenerate single-node tree, which scatters zeros anyway
-// and is idempotent to re-scatter).
-func (o *OracleIndex) pwFilled(t int) bool {
-	return o.pw[(0*o.k+t)*o.stride+o.stride-1] != 0
-}
-
-// uniformWeights reports whether every leaf's prefix-weight row in x
-// matches the shared row (leaf 0's, padded) bitwise.
-func (o *OracleIndex) uniformWeights(x *TreeIndex, row []float64) bool {
-	return par.Reduce(o.n, true,
-		func(v int) bool {
-			for h, w := range x.pw[v*x.stride : (v+1)*x.stride] {
-				if row[h] != w {
-					return false
-				}
-			}
-			return true
-		},
-		func(a, b bool) bool { return a && b })
-}
-
 // packTree renumbers one tree's per-height clusters into dense ids and
-// packs them into the split-lane words (see the packed field doc).
-// Renumbering is equality-preserving per (tree, height) — first-seen order
-// over v = 0…n−1, independent of parallel width — which is all the
-// merge-height scan compares. High-row lanes past the tree's depth repeat
-// the root id, and low-row padding lanes stay zero, so padding never
+// packs them into the tree's rows (see the packed field doc). Renumbering
+// is equality-preserving per (tree, height) — first-seen order over
+// v = 0…n−1, independent of parallel width — which is all the merge-height
+// scan compares. Lanes past the tree's depth repeat the root id, and the
+// unused 32-bit lane of an odd split stays zero, so padding never
 // manufactures a difference. Parallelism is per word column: each column
 // owns disjoint output words, renumbering its 2 or 4 heights with private
 // scratch.
 func (o *OracleIndex) packTree(x *TreeIndex, t int) {
 	nn := x.tree.NumNodes()
-	packColumn := func(heights []int, write func(v int, lane int, id uint32)) {
+	par.ForEach(o.words, func(w int) {
+		// Column w holds heights h0 … h0+lanes-1 at `width` bits per lane.
+		h0, lanes, width := 2*w, min(2, o.split-2*w), uint(32)
+		if w >= o.loWords {
+			h0, lanes, width = o.split+4*(w-o.loWords), 4, 16
+		}
 		id := make([]uint32, nn)
 		stamp := make([]int32, nn)
 		for i := range stamp {
 			stamp[i] = -1
 		}
-		for lane, h := range heights {
-			hEff := h
-			if hEff > x.depth {
-				hEff = x.depth
-			}
+		for lane := 0; lane < lanes; lane++ {
+			h := min(h0+lane, x.depth)
 			next := uint32(0)
 			for v := 0; v < o.n; v++ {
-				a := x.anc[v*x.stride+hEff]
+				a := x.anc[v*x.stride+h]
 				if stamp[a] != int32(lane) {
 					stamp[a] = int32(lane)
 					id[a] = next
 					next++
 				}
-				write(v, lane, id[a])
+				o.packed[(v*o.k+t)*o.words+w] |= uint64(id[a]) << (uint(lane) * width)
 			}
 		}
-	}
-	par.ForEach(o.loWords+o.words, func(w int) {
-		if w < o.loWords {
-			// Low column w: heights 2w, 2w+1 (the latter only if < split).
-			heights := []int{2 * w}
-			if 2*w+1 < o.split {
-				heights = append(heights, 2*w+1)
-			}
-			packColumn(heights, func(v, lane int, cid uint32) {
-				o.packedLo[(v*o.k+t)*o.loWords+w] |= uint64(cid) << (uint(lane) * 32)
-			})
-			return
-		}
-		// High column: 4 heights starting at split + 4*(w - loWords).
-		hw := w - o.loWords
-		heights := make([]int, 4)
-		for l := range heights {
-			heights[l] = o.split + hw*4 + l
-		}
-		packColumn(heights, func(v, lane int, cid uint32) {
-			o.packed[(v*o.k+t)*o.words+hw] |= uint64(cid) << (uint(lane) * 16)
-		})
 	})
 }
 
@@ -562,7 +440,7 @@ func (o *OracleIndex) NumTrees() int { return o.k }
 func (o *OracleIndex) NumLeaves() int { return o.n }
 
 // MaxDepth returns the largest tree depth in the ensemble (queries cost
-// O(NumTrees · log MaxDepth)).
+// O(NumTrees · MaxDepth/4) word operations).
 func (o *OracleIndex) MaxDepth() int { return o.stride - 1 }
 
 // Min returns the smallest tree distance over the ensemble, identical (to
@@ -570,144 +448,51 @@ func (o *OracleIndex) MaxDepth() int { return o.stride - 1 }
 // per-tree distances are the same prefix sums, and trees are folded in the
 // same ascending order with the same strict comparison.
 //
-// With the packed representation each tree's merge height — the first
-// height at which the two ancestor rows agree; they agree at the shared
-// root, and lockstep walks never separate once met — is found by
-// XOR-comparing packed-lane words top-down (16-bit high row first, then
-// the 32-bit low row holding the wide bottom heights of large graphs) and
-// locating the highest differing lane with a leading-zero count. The
-// binary-search int32 kernel remains as the disablePacked fallback.
+// Each tree's merge height — the first height at which the two ancestor
+// rows agree; they agree at the shared root, and lockstep walks never
+// separate once met — is found by XOR-comparing the packed rows top-down
+// and locating the highest differing lane with a leading-zero count. The
+// scan is mergeLane's, inlined by hand: the Go inliner refuses functions
+// with loops, and K calls per query are measurable on the serving path.
 func (o *OracleIndex) Min(u, v graph.Node) float64 {
 	if u == v {
 		return 0
 	}
-	ks := o.k * o.stride
+	kw := o.k * o.words
+	xu := o.packed[int(u)*kw : int(u)*kw+kw]
+	xv := o.packed[int(v)*kw : int(v)*kw+kw]
+	levels := o.levels
 	var best float64
-	if o.packed != nil && o.packedLo != nil {
-		// Split rows (n > 65536): per-tree scan over both packed rows.
-		for t := 0; t < o.k; t++ {
-			h := o.splitMergeHeight(u, v, t)
-			var d float64
-			if ps := o.pwShared; ps != nil {
-				d = ps[t*o.stride+h] + ps[t*o.stride+h]
-			} else {
-				d = o.pw[int(u)*ks+t*o.stride+h] + o.pw[int(v)*ks+t*o.stride+h]
-			}
-			if t == 0 || d < best {
-				best = d
+	off, woff := 0, 0
+	for t := 0; t < o.k; t++ {
+		p := 0
+		for w := woff + o.words - 1; w >= woff; w-- {
+			if x := xu[w] ^ xv[w]; x != 0 {
+				p = (w-woff)*4 + (bits.Len64(x)-1)>>4 + 1
+				break
 			}
 		}
-		return best
-	}
-	if o.packed != nil {
-		kw := o.k * o.words
-		xu := o.packed[int(u)*kw : int(u)*kw+kw]
-		xv := o.packed[int(v)*kw : int(v)*kw+kw]
-		off, woff := 0, 0
-		if ps := o.pwShared; ps != nil {
-			// Both half-paths climb through identical level weights, so
-			// d = pwShared[h] + pwShared[h] — the same bits as pw[…u…+h] +
-			// pw[…v…+h] — and the query never touches the per-leaf table.
-			// The word scan is inlined by hand: the Go inliner refuses
-			// functions with loops, and 16 calls per query are measurable
-			// on the serving path.
-			for t := 0; t < o.k; t++ {
-				h := 0
-				for w := woff + o.words - 1; w >= woff; w-- {
-					if x := xu[w] ^ xv[w]; x != 0 {
-						h = (w-woff)*4 + (bits.Len64(x)-1)>>4 + 1
-						break
-					}
-				}
-				if d := ps[off+h] + ps[off+h]; t == 0 || d < best {
-					best = d
-				}
-				off += o.stride
-				woff += o.words
-			}
-			return best
-		}
-		pu, pv := o.pw[int(u)*ks:int(u)*ks+ks], o.pw[int(v)*ks:int(v)*ks+ks]
-		for t := 0; t < o.k; t++ {
-			h := packedMergeHeight(xu[woff:woff+o.words], xv[woff:woff+o.words])
-			if d := pu[off+h] + pv[off+h]; t == 0 || d < best {
-				best = d
-			}
-			off += o.stride
-			woff += o.words
-		}
-		return best
-	}
-	bu, bv := int(u)*ks, int(v)*ks
-	au, av := o.anc[bu:bu+ks], o.anc[bv:bv+ks]
-	if ps := o.pwShared; ps != nil {
-		for off := 0; off < ks; off += o.stride {
-			h := off + mergeHeight(au[off:off+o.stride], av[off:off+o.stride])
-			if d := ps[h] + ps[h]; off == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	pu, pv := o.pw[bu:bu+ks], o.pw[bv:bv+ks]
-	for off := 0; off < ks; off += o.stride {
-		h := off + mergeHeight(au[off:off+o.stride], av[off:off+o.stride])
-		if d := pu[h] + pv[h]; off == 0 || d < best {
+		if d := levels[off+p] + levels[off+p]; t == 0 || d < best {
 			best = d
 		}
+		off += o.lanes
+		woff += o.words
 	}
 	return best
 }
 
-// packedMergeHeight scans two packed 16-bit-lane rows top-down for the
-// highest differing height; the merge height is one above it. With a zero
-// split, distinct leaves guarantee a difference in word 0, so the scan
-// always terminates with a hit for u ≠ v.
-func packedMergeHeight(xu, xv []uint64) int {
+// mergeLane scans one tree's two packed rows top-down for the highest
+// differing 16-bit lane and returns the merge position one above it (see
+// the levels field doc). Distinct leaves are distinct height-0 clusters,
+// so for u ≠ v the scan always hits, and unused padding lanes are equal on
+// both sides and never fire. It is the scan Min inlines.
+func mergeLane(xu, xv []uint64) int {
 	for w := len(xu) - 1; w >= 0; w-- {
 		if x := xu[w] ^ xv[w]; x != 0 {
-			lane := (bits.Len64(x) - 1) >> 4
-			return w*4 + lane + 1
+			return w*4 + (bits.Len64(x)-1)>>4 + 1
 		}
 	}
 	return 0
-}
-
-// splitMergeHeight is packedMergeHeight for split rows: the 16-bit high
-// row covers heights ≥ split, the 32-bit low row covers heights < split.
-// If the high rows agree everywhere the scan drops into the low row, where
-// distinct leaves guarantee a difference at height 0 (leaf clusters are
-// singletons); unused low padding lanes are zero on both sides and can
-// never fire.
-func (o *OracleIndex) splitMergeHeight(u, v graph.Node, t int) int {
-	bu, bv := (int(u)*o.k+t)*o.words, (int(v)*o.k+t)*o.words
-	for w := o.words - 1; w >= 0; w-- {
-		if x := o.packed[bu+w] ^ o.packed[bv+w]; x != 0 {
-			return o.split + w*4 + (bits.Len64(x)-1)>>4 + 1
-		}
-	}
-	lu, lv := (int(u)*o.k+t)*o.loWords, (int(v)*o.k+t)*o.loWords
-	for w := o.loWords - 1; w >= 0; w-- {
-		if x := o.packedLo[lu+w] ^ o.packedLo[lv+w]; x != 0 {
-			return w*2 + (bits.Len64(x)-1)>>5 + 1
-		}
-	}
-	return 0
-}
-
-// mergeHeight binary-searches one padded int32 row pair for the first
-// height at which they agree — the fallback kernel for n > 65536.
-func mergeHeight(au, av []int32) int {
-	lo, hi := 0, len(au)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if au[mid] == av[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // Median returns the median tree distance, identical to Ensemble.Median.
@@ -723,6 +508,13 @@ func (o *OracleIndex) median(u, v graph.Node, ds []float64) float64 {
 		return 0
 	}
 	o.perTreeDists(u, v, 0, o.k, ds)
+	return medianOf(ds)
+}
+
+// medianOf sorts ds in place and returns its median (the mean of the two
+// middle values for an even count) — the one median rule of the index and
+// of Ensemble's walk fallback.
+func medianOf(ds []float64) float64 {
 	sort.Float64s(ds)
 	mid := len(ds) / 2
 	if len(ds)%2 == 1 {
@@ -738,40 +530,13 @@ func (o *OracleIndex) median(u, v graph.Node, ds []float64) float64 {
 // sharded router relies on to merge partial per-tree results server-side.
 func (o *OracleIndex) perTreeDists(u, v graph.Node, lo, hi int, dst []float64) {
 	if u == v {
-		for i := range dst[: hi-lo : hi-lo] {
-			dst[i] = 0
-		}
+		clear(dst[:hi-lo])
 		return
 	}
-	ks := o.k * o.stride
-	if o.packed != nil {
-		for t := lo; t < hi; t++ {
-			var h int
-			if o.packedLo != nil {
-				h = o.splitMergeHeight(u, v, t)
-			} else {
-				h = packedMergeHeight(
-					o.packed[(int(u)*o.k+t)*o.words:(int(u)*o.k+t+1)*o.words],
-					o.packed[(int(v)*o.k+t)*o.words:(int(v)*o.k+t+1)*o.words])
-			}
-			if ps := o.pwShared; ps != nil {
-				dst[t-lo] = ps[t*o.stride+h] + ps[t*o.stride+h]
-			} else {
-				dst[t-lo] = o.pw[int(u)*ks+t*o.stride+h] + o.pw[int(v)*ks+t*o.stride+h]
-			}
-		}
-		return
-	}
-	bu, bv := int(u)*ks, int(v)*ks
-	au, av := o.anc[bu:bu+ks], o.anc[bv:bv+ks]
 	for t := lo; t < hi; t++ {
-		off := t * o.stride
-		h := off + mergeHeight(au[off:off+o.stride], av[off:off+o.stride])
-		if ps := o.pwShared; ps != nil {
-			dst[t-lo] = ps[h] + ps[h]
-		} else {
-			dst[t-lo] = o.pw[bu+h] + o.pw[bv+h]
-		}
+		bu, bv := (int(u)*o.k+t)*o.words, (int(v)*o.k+t)*o.words
+		p := t*o.lanes + mergeLane(o.packed[bu:bu+o.words], o.packed[bv:bv+o.words])
+		dst[t-lo] = o.levels[p] + o.levels[p]
 	}
 }
 

@@ -2,9 +2,12 @@ package frt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -134,109 +137,124 @@ func insertionSort(a []float64) {
 	}
 }
 
-// TestOracleIndexFastPathSelection pins the internal kernel selection: on
-// sampled trees (level-uniform by construction, n ≤ 65536) the index must
-// engage both the packed-word representation and the shared level-weight
-// table — if either silently stops applying, the serving path regresses by
-// an order of magnitude with no functional failure to flag it.
+// TestOracleIndexFastPathSelection pins the small-graph layout and the
+// index's whole resident footprint: for n ≤ 65536 the split is 0, so every
+// (node, tree) row is ⌈stride/4⌉ words of 16-bit lanes, merge positions are
+// heights, and the only other table is the K·(4·words+1) level-weight
+// table, equal bitwise to each tree's leaf-to-ancestor prefix sums (padded
+// with the leaf-to-root weight). A long-running server holds nothing per
+// leaf beyond the packed rows.
 func TestOracleIndexFastPathSelection(t *testing.T) {
 	_, e := sampleEnsembleForIndex(t, 61, 48, 120, 4)
 	idx, err := e.Index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.packed == nil {
-		t.Fatal("packed merge-height representation not built for a small graph")
+	if idx.split != 0 || idx.loWords != 0 || idx.words != (idx.stride+3)/4 || idx.lanes != 4*idx.words+1 {
+		t.Fatalf("small-graph layout not selected: split=%d loWords=%d words=%d lanes=%d stride=%d",
+			idx.split, idx.loWords, idx.words, idx.lanes, idx.stride)
 	}
-	if idx.pwShared == nil {
-		t.Fatal("shared level-weight table not detected on BuildTree trees")
+	if len(idx.packed) != idx.n*idx.k*idx.words || len(idx.levels) != idx.k*idx.lanes {
+		t.Fatalf("resident tables: %d packed words, %d level weights; want %d and %d",
+			len(idx.packed), len(idx.levels), idx.n*idx.k*idx.words, idx.k*idx.lanes)
 	}
-}
-
-// TestOracleIndexKernelsAgree forces every query-kernel combination over
-// the same ensemble and pairs: the packed+shared fast path (the default),
-// the packed per-leaf path (non-uniform weights), and the int32
-// binary-search fallbacks (n > 65536), with and without the shared table,
-// must all reproduce the walk bitwise.
-func TestOracleIndexKernelsAgree(t *testing.T) {
-	g, e := sampleEnsembleForIndex(t, 71, 64, 160, 5)
-	prng := par.NewRNG(72)
-	pairs := make([]Pair, 150)
-	for i := range pairs {
-		pairs[i] = Pair{U: graph.Node(prng.Intn(g.N())), V: graph.Node(prng.Intn(g.N()))}
-	}
-	kernels := []struct {
-		name                         string
-		disablePacked, disableShared bool
-	}{
-		{"packed+shared", false, false},
-		{"packed per-leaf", false, true},
-		{"int32+shared", true, false},
-		{"int32 per-leaf", true, true},
-	}
-	for _, k := range kernels {
-		idx, err := newOracleIndex(e.Trees, k.disablePacked, k.disableShared)
+	for ti, tr := range e.Trees {
+		x, err := NewTreeIndex(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (idx.packed == nil) != k.disablePacked || (idx.pwShared == nil) != k.disableShared {
-			t.Fatalf("%s: kernel selection did not take (packed=%v shared=%v)",
-				k.name, idx.packed != nil, idx.pwShared != nil)
-		}
-		for _, p := range pairs {
-			if got, want := idx.Min(p.U, p.V), e.minWalk(p.U, p.V); got != want {
-				t.Fatalf("%s kernel: Min(%d,%d)=%v, walk %v", k.name, p.U, p.V, got, want)
-			}
-			if got, want := idx.Median(p.U, p.V), medianWalkDirect(e.Trees, p.U, p.V); got != want {
-				t.Fatalf("%s kernel: Median(%d,%d)=%v, walk %v", k.name, p.U, p.V, got, want)
+		for h := 0; h < idx.lanes; h++ {
+			want := x.pw[min(h, x.depth)] // leaf 0's row; every leaf's is the same
+			if got := idx.levels[ti*idx.lanes+h]; got != want {
+				t.Fatalf("tree %d height %d: level weight %v, prefix sum %v", ti, h, got, want)
 			}
 		}
 	}
 }
 
-// TestOracleIndexReleasesSupersededTables pins the memory contract: once
-// the packed and shared-weight kernels are selected, the repacked int32
-// ancestors and the per-leaf prefix weights they supersede must be
-// released — a long-running server should not hold three representations.
-func TestOracleIndexReleasesSupersededTables(t *testing.T) {
-	_, e := sampleEnsembleForIndex(t, 91, 32, 80, 3)
-	idx, err := NewOracleIndex(e.Trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.packed == nil || idx.pwShared == nil {
-		t.Fatal("fast kernels not engaged")
-	}
-	if idx.anc != nil || idx.pw != nil {
-		t.Fatalf("superseded tables retained: anc=%d pw=%d entries", len(idx.anc), len(idx.pw))
-	}
+// skewLeafWeight returns a copy of tr whose leaf of graph node v hangs by a
+// heavier edge than its siblings: still a valid tree (and still dominating,
+// since distances only grow), but no longer level-uniform — something
+// BuildTree never produces.
+func skewLeafWeight(tr *Tree, v graph.Node) *Tree {
+	c := *tr
+	c.EdgeWeight = append([]float64(nil), tr.EdgeWeight...)
+	c.EdgeWeight[tr.Leaf[v]] *= 1.5
+	return &c
 }
 
-// TestOracleIndexNonUniformWeights feeds a valid tree whose level weights
-// differ between branches (possible for deserialised trees, impossible for
-// BuildTree output): the shared-table optimisation must disengage and
-// queries must still match the walk.
+// TestOracleIndexNonUniformWeights pins the level-uniform contract: a tree
+// whose level weights differ between branches is rejected by NewOracleIndex,
+// WriteSnapshot and ReadSnapshot with an error naming that tree, and
+// Ensemble.Min, Median and Evaluate answer such an ensemble through the
+// parent walk, bitwise.
 func TestOracleIndexNonUniformWeights(t *testing.T) {
-	tr := &Tree{
-		Parent:     []int32{-1, 0, 0, 1, 2},
-		EdgeWeight: []float64{0, 5, 7, 2, 2},
-		Center:     []graph.Node{0, 0, 1, 0, 1},
-		Level:      []int32{2, 1, 1, 0, 0},
-		Leaf:       []int32{3, 4},
-		Beta:       1.5,
-	}
-	if err := tr.Validate(); err != nil {
+	g, e := sampleEnsembleForIndex(t, 101, 40, 110, 3)
+	skewed := skewLeafWeight(e.Trees[1], 5)
+	if err := skewed.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := NewOracleIndex([]*Tree{tr})
-	if err != nil {
+	trees := []*Tree{e.Trees[0], skewed, e.Trees[2]}
+	wantErr := func(what string, err error, tree string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), tree) || !strings.Contains(err.Error(), "level-uniform") {
+			t.Fatalf("%s: error %v, want one naming %s as not level-uniform", what, err, tree)
+		}
+	}
+	_, err := NewOracleIndex(trees)
+	wantErr("NewOracleIndex", err, "tree 1")
+	var buf bytes.Buffer
+	wantErr("WriteSnapshot", WriteSnapshot(&buf, &Ensemble{Trees: trees}, SnapshotMeta{}), "tree 1")
+
+	// A snapshot of the sampled trees with tree 1's leaf weight patched in
+	// place (and the checksum recomputed) must fail to load.
+	buf.Reset()
+	if err := WriteSnapshot(&buf, e, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	if idx.pwShared != nil {
-		t.Fatal("shared level-weight table built for non-uniform weights")
+	data := buf.Bytes()
+	rec := align8(snapshotHeaderLen+2*snapshotSectionLen) + snapshotMetaLen +
+		treeRecordSize(e.Trees[0].NumNodes(), len(e.Trees[0].Leaf))
+	leaf := int(skewed.Leaf[5])
+	wOff := rec + treeRecordHeaderLen + 3*align8(4*skewed.NumNodes()) + 8*leaf
+	binary.LittleEndian.PutUint64(data[wOff:], math.Float64bits(skewed.EdgeWeight[leaf]))
+	binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(data[:len(data)-8], snapshotCRC))
+	_, _, err = ReadSnapshot(data)
+	wantErr("ReadSnapshot", err, "tree 1")
+
+	ens := &Ensemble{Trees: trees}
+	if _, err := ens.Index(); err == nil {
+		t.Fatal("ensemble with a non-level-uniform tree indexed")
 	}
-	if got, want := idx.Min(0, 1), tr.Dist(0, 1); got != want {
-		t.Fatalf("Min(0,1)=%v, walk %v", got, want)
+	walkMin := func(u, v graph.Node) float64 {
+		best := trees[0].Dist(u, v)
+		for _, tr := range trees[1:] {
+			if d := tr.Dist(u, v); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	for u := graph.Node(0); u < graph.Node(g.N()); u++ {
+		for v := graph.Node(0); v < graph.Node(g.N()); v += 3 {
+			if got, want := ens.Min(u, v), walkMin(u, v); got != want {
+				t.Fatalf("Min(%d,%d)=%v, walk %v", u, v, got, want)
+			}
+			if got, want := ens.Median(u, v), medianWalkDirect(trees, u, v); got != want {
+				t.Fatalf("Median(%d,%d)=%v, walk %v", u, v, got, want)
+			}
+		}
+	}
+	stats := ens.Evaluate(g, 60, par.NewRNG(7))
+	ps := drawEvalPairs(g, 60, par.NewRNG(7), false)
+	maxR, sumR := 0.0, 0.0
+	for _, p := range ps {
+		r := walkMin(p.u, p.v) / p.d
+		maxR, sumR = math.Max(maxR, r), sumR+r
+	}
+	if stats.Pairs != len(ps) || stats.MaxMinStretch != maxR || !stats.DominanceOK ||
+		math.Abs(stats.AvgMinStretch-sumR/float64(len(ps))) > 1e-12 {
+		t.Fatalf("Evaluate = %+v, walk: %d pairs, max %v, mean %v", stats, len(ps), maxR, sumR/float64(len(ps)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package frt
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -68,11 +69,58 @@ func BenchmarkOracleWalkMin4096(b *testing.B) {
 }
 
 // BenchmarkOracleIndexMinBatch4096 is the new serving path: the same batch
-// through OracleIndex.MinBatch (binary-searched merge heights over flat
-// per-leaf rows, parallelised by par.ForEach). The acceptance bar of the
-// query subsystem is ≥ 10× over BenchmarkOracleWalkMin4096.
+// through OracleIndex.MinBatch (packed-row merge scans and one level-weight
+// table, parallelised by par.ForEach). The acceptance bar of the query
+// subsystem is ≥ 10× over BenchmarkOracleWalkMin4096.
 func BenchmarkOracleIndexMinBatch4096(b *testing.B) {
 	_, idx, pairs := oracleFixture(b)
+	out := make([]float64, len(pairs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = idx.MinBatch(pairs, out)
+	}
+	sinkFloats = out
+}
+
+// splitFix is the split-layout counterpart of the oracle fixture: K=16
+// synthetic three-level trees on n = 2^16+512 leaves, past the 16-bit lane
+// capacity, so every row starts with a 32-bit-lane word (split > 0).
+var splitFix struct {
+	once  sync.Once
+	idx   *OracleIndex
+	pairs []Pair
+	err   error
+}
+
+func splitFixture(b *testing.B) (*OracleIndex, []Pair) {
+	b.Helper()
+	splitFix.once.Do(func() {
+		n := 1<<16 + 512
+		trees := make([]*Tree, 16)
+		for i := range trees {
+			trees[i] = bigSyntheticTree(n, 64+37*i, i%2 == 1, float64(1+i%3), 8)
+		}
+		splitFix.idx, splitFix.err = NewOracleIndex(trees)
+		if splitFix.err == nil && splitFix.idx.split == 0 {
+			splitFix.err = fmt.Errorf("split layout not engaged")
+		}
+		prng := par.NewRNG(2)
+		splitFix.pairs = make([]Pair, oracleBenchPairs)
+		for i := range splitFix.pairs {
+			splitFix.pairs[i] = Pair{U: graph.Node(prng.Intn(n)), V: graph.Node(prng.Intn(n))}
+		}
+	})
+	if splitFix.err != nil {
+		b.Fatal(splitFix.err)
+	}
+	return splitFix.idx, splitFix.pairs
+}
+
+// BenchmarkOracleIndexMinBatchSplit is MinBatch4096 on the split layout
+// (n > 65536): the same scan, now also crossing the 32-bit-lane words.
+func BenchmarkOracleIndexMinBatchSplit(b *testing.B) {
+	idx, pairs := splitFixture(b)
 	out := make([]float64, len(pairs))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -88,9 +88,9 @@ func TestMemoryBudget(t *testing.T) {
 	trees := tv.([]*Tree)
 	budget("trees (K=2)", bytes, 512)
 
-	// Layer 5: the oracle index. Packed merge-height words (16-bit lanes
-	// above the split, 32-bit below), prefix-summed depths, and the shared
-	// or per-leaf weight table.
+	// Layer 5: the oracle index. One packed row per (node, tree) — 32-bit
+	// lanes below the split, 16-bit above — and the K-row level-weight
+	// table.
 	iv, bytes := retainedBytes(func() any {
 		idx, err := NewOracleIndex(trees)
 		if err != nil {

@@ -86,8 +86,9 @@ func treeRecordSize(numNodes, numLeaves int) int {
 }
 
 // WriteSnapshot serialises the ensemble and meta into the snapshot format.
-// Every tree is validated first: a snapshot on disk must always load, so
-// structural defects fail the save, not some later cold start. The written
+// Every tree is validated first — structure and level uniformity, the
+// OracleIndex requirement: a snapshot on disk must always load and index,
+// so such defects fail the save, not some later cold start. The written
 // bytes are a pure function of the ensemble, and ReadSnapshot restores the
 // trees bit-for-bit (Beta included), so fixed-seed ensemble fingerprints are
 // reproducible from a loaded snapshot.
@@ -99,6 +100,9 @@ func WriteSnapshot(w io.Writer, ens *Ensemble, meta SnapshotMeta) error {
 	treesLen := 0
 	for i, t := range ens.Trees {
 		if err := t.Validate(); err != nil {
+			return fmt.Errorf("frt: snapshot tree %d: %w", i, err)
+		}
+		if _, err := t.levelWeights(); err != nil {
 			return fmt.Errorf("frt: snapshot tree %d: %w", i, err)
 		}
 		if len(t.Leaf) != n {
@@ -173,9 +177,9 @@ func putTreeRecord(buf []byte, off int, t *Tree) int {
 // hostile bytes (the FuzzReadSnapshot target): malformed, truncated, or
 // corrupted input — including a failed whole-file checksum — yields an
 // error, never a panic, and no allocation ever exceeds O(len(data)). Every
-// tree of an accepted snapshot passes Tree.Validate, so the returned
-// ensemble indexes and serves exactly like the freshly built one it was
-// saved from.
+// tree of an accepted snapshot passes Tree.Validate and is level-uniform,
+// so the returned ensemble indexes and serves exactly like the freshly
+// built one it was saved from.
 func ReadSnapshot(data []byte) (*Ensemble, SnapshotMeta, error) {
 	var meta SnapshotMeta
 	le := binary.LittleEndian
@@ -256,6 +260,9 @@ func ReadSnapshot(data []byte) (*Ensemble, SnapshotMeta, error) {
 		}
 		if verr := t.Validate(); verr != nil {
 			return nil, meta, fmt.Errorf("frt: tree %d invalid: %v", ti, verr)
+		}
+		if _, werr := t.levelWeights(); werr != nil {
+			return nil, meta, fmt.Errorf("frt: tree %d invalid: %v", ti, werr)
 		}
 		trees = append(trees, t)
 		rest = tail

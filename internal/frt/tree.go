@@ -156,6 +156,52 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
+// levelWeights returns w[h], the weight of the edge from every height-h
+// node on a leaf-to-root path to its parent (h = 0 the leaves, len(w) the
+// leaf depth). It fails when the tree is not level-uniform — two height-h
+// nodes on leaf paths hang by edges of different weight — and, without
+// panicking, when a leaf's parent chain is broken or of unequal length.
+// BuildTree's trees are level-uniform by construction (a level-i edge
+// weighs 2β2^i); OracleIndex and the snapshot format require it.
+func (t *Tree) levelWeights() ([]float64, error) {
+	depth, ok := leafDepth(t)
+	if !ok {
+		return nil, fmt.Errorf("broken parent chain at leaf 0 (run Validate for details)")
+	}
+	w := make([]float64, depth)
+	// seen[u] is u's height+1 once a leaf path reached u: the path above it
+	// was checked already.
+	seen := make([]int32, t.NumNodes())
+	for v, u := range t.Leaf {
+		for h := 0; ; h++ {
+			if u < 0 || int(u) >= t.NumNodes() {
+				return nil, fmt.Errorf("leaf path of %d leaves the tree (run Validate for details)", v)
+			}
+			if seen[u] != 0 {
+				if int(seen[u]) != h+1 {
+					return nil, fmt.Errorf("leaf depths differ at graph node %d", v)
+				}
+				break
+			}
+			seen[u] = int32(h + 1)
+			p := t.Parent[u]
+			if (p == -1) != (h == depth) {
+				return nil, fmt.Errorf("leaf depths differ at graph node %d", v)
+			}
+			if p == -1 {
+				break
+			}
+			if v == 0 {
+				w[h] = t.EdgeWeight[u]
+			} else if t.EdgeWeight[u] != w[h] {
+				return nil, fmt.Errorf("not level-uniform: height-%d edges weigh %v and %v", h, w[h], t.EdgeWeight[u])
+			}
+			u = p
+		}
+	}
+	return w, nil
+}
+
 // BuildTree assembles the FRT tree from LE lists (Lemma 7.2). lists[v] must
 // be the complete LE list of node v w.r.t. a distance function on which the
 // construction is to be performed (the distances of H in the main pipeline),

@@ -196,10 +196,12 @@ type Ensemble = frt.Ensemble
 // distances (see frt.EnsembleStats for field semantics).
 type EnsembleStats = frt.EnsembleStats
 
-// OracleIndex is the batched query service over an ensemble: trees are
-// preprocessed into flat level-ancestor and prefix-weight tables so Min
-// costs O(trees · log depth) array lookups, and MinBatch/MedianBatch
-// answer pair slices in parallel. Obtain one from (*Ensemble).Index().
+// OracleIndex is the batched query service over an ensemble: every
+// (node, tree) gets one packed row of per-height cluster ids, and every
+// tree one row of level weights, so Min costs O(trees · depth/4) word
+// operations, and MinBatch/MedianBatch answer pair slices in parallel.
+// Trees must be level-uniform, as sampled trees are. Obtain one from
+// (*Ensemble).Index().
 type OracleIndex = frt.OracleIndex
 
 // TreeIndex preprocesses a single FRT tree for O(log depth) pointer-free
@@ -225,8 +227,9 @@ func WriteSnapshot(w io.Writer, ens *Ensemble, meta SnapshotMeta) error {
 }
 
 // ReadSnapshot parses and validates a snapshot produced by WriteSnapshot.
-// Corrupt or hostile input is rejected with an error — never a panic or an
-// allocation proportional to unvalidated header counts.
+// Corrupt or hostile input — and any tree that is not level-uniform, which
+// the index could not serve — is rejected with an error, never a panic or
+// an allocation proportional to unvalidated header counts.
 func ReadSnapshot(data []byte) (*Ensemble, SnapshotMeta, error) {
 	return frt.ReadSnapshot(data)
 }
