@@ -214,8 +214,8 @@ type OracleIndex struct {
 	// bit. A merge position is one above the highest differing 16-bit lane
 	// of a row (0 when none differs), which makes the merge scan the same
 	// arithmetic whatever the split: position p is height p for a 16-bit
-	// row, a 32-bit lane spans two positions of one height, and heights ≥
-	// split sit 2·loWords−split positions further up (see heightAt).
+	// row, a 32-bit lane spans two positions of one height, and a height
+	// h ≥ split sits at position h+4·loWords−split (see heightAt).
 	levels []float64
 	// lanes is the level-table row length: 4·words+1 merge positions.
 	lanes int
