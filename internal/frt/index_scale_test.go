@@ -2,6 +2,7 @@ package frt
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"parmbf/internal/graph"
@@ -134,6 +135,48 @@ func TestOracleIndexSplitLanes(t *testing.T) {
 			}
 			checkAgainstWalk(t, idx, c.trees, pairs)
 		}
+	}
+}
+
+// TestOracleIndexBackfillsNonUniformPrefix covers a level-uniform tree
+// followed by one that is not: the index must not be built from the uniform
+// prefix alone, the error must name the later tree, and Ensemble.Min and
+// Median must still answer both trees through the walk.
+func TestOracleIndexBackfillsNonUniformPrefix(t *testing.T) {
+	uniform := &Tree{
+		Parent:     []int32{-1, 0, 0, 1, 2},
+		EdgeWeight: []float64{0, 5, 5, 2, 2},
+		Center:     []graph.Node{0, 0, 1, 0, 1},
+		Level:      []int32{2, 1, 1, 0, 0},
+		Leaf:       []int32{3, 4},
+		Beta:       1.5,
+	}
+	skewed := &Tree{
+		Parent:     []int32{-1, 0, 0, 1, 2},
+		EdgeWeight: []float64{0, 5, 7, 2, 3},
+		Center:     []graph.Node{0, 0, 1, 0, 1},
+		Level:      []int32{2, 1, 1, 0, 0},
+		Leaf:       []int32{3, 4},
+		Beta:       1.5,
+	}
+	trees := []*Tree{uniform, skewed}
+	for _, tr := range trees {
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := NewOracleIndex(trees)
+	if idx != nil || err == nil || !strings.Contains(err.Error(), "tree 1") ||
+		!strings.Contains(err.Error(), "level-uniform") {
+		t.Fatalf("NewOracleIndex = %v, %v; want an error naming tree 1 as not level-uniform", idx, err)
+	}
+	ens := &Ensemble{Trees: trees}
+	want := min(uniform.Dist(0, 1), skewed.Dist(0, 1))
+	if got := ens.Min(0, 1); got != want {
+		t.Fatalf("Min(0,1)=%v, walk %v (tree 0's weights lost?)", got, want)
+	}
+	if got, want := ens.Median(0, 1), medianWalkDirect(trees, 0, 1); got != want {
+		t.Fatalf("Median(0,1)=%v, walk %v", got, want)
 	}
 }
 

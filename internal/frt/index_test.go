@@ -137,13 +137,11 @@ func insertionSort(a []float64) {
 	}
 }
 
-// TestOracleIndexFastPathSelection pins the small-graph layout and the
-// index's whole resident footprint: for n ≤ 65536 the split is 0, so every
-// (node, tree) row is ⌈stride/4⌉ words of 16-bit lanes, merge positions are
-// heights, and the only other table is the K·(4·words+1) level-weight
-// table, equal bitwise to each tree's leaf-to-ancestor prefix sums (padded
-// with the leaf-to-root weight). A long-running server holds nothing per
-// leaf beyond the packed rows.
+// TestOracleIndexFastPathSelection pins the small-graph layout: for
+// n ≤ 65536 the split is 0, so every (node, tree) row is ⌈stride/4⌉ words
+// of 16-bit lanes, merge positions are heights, and the K·(4·words+1)
+// level-weight table equals bitwise each tree's leaf-to-ancestor prefix
+// sums (padded with the leaf-to-root weight).
 func TestOracleIndexFastPathSelection(t *testing.T) {
 	_, e := sampleEnsembleForIndex(t, 61, 48, 120, 4)
 	idx, err := e.Index()
@@ -153,10 +151,6 @@ func TestOracleIndexFastPathSelection(t *testing.T) {
 	if idx.split != 0 || idx.loWords != 0 || idx.words != (idx.stride+3)/4 || idx.lanes != 4*idx.words+1 {
 		t.Fatalf("small-graph layout not selected: split=%d loWords=%d words=%d lanes=%d stride=%d",
 			idx.split, idx.loWords, idx.words, idx.lanes, idx.stride)
-	}
-	if len(idx.packed) != idx.n*idx.k*idx.words || len(idx.levels) != idx.k*idx.lanes {
-		t.Fatalf("resident tables: %d packed words, %d level weights; want %d and %d",
-			len(idx.packed), len(idx.levels), idx.n*idx.k*idx.words, idx.k*idx.lanes)
 	}
 	for ti, tr := range e.Trees {
 		x, err := NewTreeIndex(tr)
@@ -169,6 +163,26 @@ func TestOracleIndexFastPathSelection(t *testing.T) {
 				t.Fatalf("tree %d height %d: level weight %v, prefix sum %v", ti, h, got, want)
 			}
 		}
+	}
+}
+
+// TestOracleIndexReleasesSupersededTables pins the memory contract: a
+// long-running server holds the packed rows and the K·lanes level-weight
+// table and nothing else — no per-leaf prefix weights, no int32 ancestor
+// copy, and no spare capacity left over from the build.
+func TestOracleIndexReleasesSupersededTables(t *testing.T) {
+	_, e := sampleEnsembleForIndex(t, 91, 32, 80, 3)
+	idx, err := NewOracleIndex(e.Trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.packed) != idx.n*idx.k*idx.words || len(idx.levels) != idx.k*idx.lanes {
+		t.Fatalf("resident tables: %d packed words, %d level weights; want %d and %d",
+			len(idx.packed), len(idx.levels), idx.n*idx.k*idx.words, idx.k*idx.lanes)
+	}
+	if cap(idx.packed) != len(idx.packed) || cap(idx.levels) != len(idx.levels) {
+		t.Fatalf("tables over-allocated: packed cap %d len %d, levels cap %d len %d",
+			cap(idx.packed), len(idx.packed), cap(idx.levels), len(idx.levels))
 	}
 }
 
